@@ -1,33 +1,14 @@
 //! E1 — Fig. 6a: scalability of indexing on data volume (dynamic
 //! network). Prints the two series and writes `results/fig6a.csv`.
 
-use bench::report::{print_table, write_csv};
+use bench::report::print_table;
 use bench::{fig6, Scale};
 
 fn main() {
     let scale = Scale::from_env();
-    let points = fig6::fig6a(scale);
-
-    let rows: Vec<Vec<String>> = points
-        .iter()
-        .map(|p| {
-            vec![
-                p.series.clone(),
-                p.objects_per_node.to_string(),
-                p.nn.to_string(),
-                p.lp.to_string(),
-                p.messages.to_string(),
-                p.bytes.to_string(),
-            ]
-        })
-        .collect();
-    let header = ["series", "objects_per_node", "nn", "lp", "messages", "bytes"];
-    write_csv(
-        bench::report::results_path("fig6a.csv"), &header, &rows).expect("write results/fig6a.csv");
-    print_table(
-        &format!("Fig. 6a — indexing cost vs data volume ({scale:?})"),
-        &header,
-        &rows,
-    );
-    println!("\nwrote results/fig6a.csv");
+    let csv = fig6::fig6a_csv(&fig6::fig6a(scale));
+    csv.write();
+    let title = format!("Fig. 6a — indexing cost vs data volume ({scale:?})");
+    print_table(&title, csv.header, &csv.rows);
+    println!("\nwrote results/{}", csv.file);
 }

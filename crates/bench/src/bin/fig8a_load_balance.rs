@@ -1,27 +1,13 @@
 //! E5 — Fig. 8a: load balance for the three Lp schemes. Writes the
 //! Lorenz-style curves to `results/fig8a.csv`.
 
-use bench::report::{print_table, write_csv};
+use bench::report::print_table;
 use bench::{fig8, Scale};
 
 fn main() {
     let scale = Scale::from_env();
     let points = fig8::fig8a(scale);
-
-    let mut rows: Vec<Vec<String>> = Vec::new();
-    for p in &points {
-        for (xf, yf) in &p.curve {
-            rows.push(vec![
-                p.scheme.label(),
-                p.lp.to_string(),
-                format!("{xf:.3}"),
-                format!("{yf:.3}"),
-            ]);
-        }
-    }
-    let header = ["scheme", "lp", "node_fraction", "load_fraction"];
-    write_csv(
-        bench::report::results_path("fig8a.csv"), &header, &rows).expect("write results/fig8a.csv");
+    fig8::fig8a_csv(&points).write();
 
     let summary: Vec<Vec<String>> = points
         .iter()

@@ -7,6 +7,7 @@
 //! with three series: individual indexing, group indexing with grouped
 //! movement, and group indexing with individual movement.
 
+use crate::report::Csv;
 use crate::{experiment_group_mode, parallel_sweep, Scale};
 use peertrack::{Builder, IndexingMode, TraceableNetwork};
 use simnet::time::secs;
@@ -90,6 +91,50 @@ pub fn run_indexing(
 /// experiment modules).
 pub fn default_group_net(nn: usize, seed: u64) -> TraceableNetwork {
     Builder::new().sites(nn).seed(seed).mode(IndexingMode::group_default()).build()
+}
+
+/// `results/fig6a.csv`: indexing cost per (series, volume) point.
+pub fn fig6a_csv(points: &[IndexingPoint]) -> Csv {
+    let rows = points
+        .iter()
+        .map(|p| {
+            vec![
+                p.series.clone(),
+                p.objects_per_node.to_string(),
+                p.nn.to_string(),
+                p.lp.to_string(),
+                p.messages.to_string(),
+                p.bytes.to_string(),
+            ]
+        })
+        .collect();
+    Csv {
+        file: "fig6a.csv",
+        header: &["series", "objects_per_node", "nn", "lp", "messages", "bytes"],
+        rows,
+    }
+}
+
+/// `results/fig6b.csv`: indexing cost per (series, network size) point.
+pub fn fig6b_csv(points: &[IndexingPoint]) -> Csv {
+    let rows = points
+        .iter()
+        .map(|p| {
+            vec![
+                p.series.clone(),
+                p.nn.to_string(),
+                p.objects_per_node.to_string(),
+                p.lp.to_string(),
+                p.messages.to_string(),
+                p.bytes.to_string(),
+            ]
+        })
+        .collect();
+    Csv {
+        file: "fig6b.csv",
+        header: &["series", "nn", "objects_per_node", "lp", "messages", "bytes"],
+        rows,
+    }
 }
 
 /// Fig. 6a: 512 nodes (scaled), data volume 500·i for i in 1..=10

@@ -6,6 +6,7 @@
 //! runs the same data in the Wang–Liu warehouse under its calibrated
 //! cost model.
 
+use crate::report::Csv;
 use crate::{experiment_group_mode, parallel_sweep, Scale};
 use centralized::Warehouse;
 use moods::SiteId;
@@ -97,6 +98,44 @@ pub fn fig7b(scale: Scale) -> Vec<QueryPoint> {
     let nn = scale.nodes(512);
     let volumes: Vec<usize> = (1..=10).map(|i| scale.objects(500 * i)).collect();
     parallel_sweep(volumes, |&v| run_queries(nn, v, 100, 42))
+}
+
+/// The cells shared by both query figures after their two sweep
+/// columns.
+fn query_cells(p: &QueryPoint, mut row: Vec<String>) -> Vec<String> {
+    row.extend([
+        format!("{:.3}", p.p2p_ms),
+        format!("{:.3}", p.centralized_ms),
+        format!("{:.2}", p.p2p_messages),
+        p.warehouse_rows.to_string(),
+    ]);
+    row
+}
+
+/// `results/fig7a.csv`: trace-query time per network size.
+pub fn fig7a_csv(points: &[QueryPoint]) -> Csv {
+    let rows = points
+        .iter()
+        .map(|p| query_cells(p, vec![p.nn.to_string(), p.objects_per_node.to_string()]))
+        .collect();
+    Csv {
+        file: "fig7a.csv",
+        header: &["nn", "objects_per_node", "p2p_ms", "centralized_ms", "p2p_msgs", "db_rows"],
+        rows,
+    }
+}
+
+/// `results/fig7b.csv`: trace-query time per data volume.
+pub fn fig7b_csv(points: &[QueryPoint]) -> Csv {
+    let rows = points
+        .iter()
+        .map(|p| query_cells(p, vec![p.objects_per_node.to_string(), p.nn.to_string()]))
+        .collect();
+    Csv {
+        file: "fig7b.csv",
+        header: &["objects_per_node", "nn", "p2p_ms", "centralized_ms", "p2p_msgs", "db_rows"],
+        rows,
+    }
 }
 
 #[cfg(test)]

@@ -5,7 +5,7 @@
 //! (load % carried by the hottest x % of nodes); Fig. 8b shows the
 //! indexing cost (log₂ of messages) as the network grows.
 
-use crate::report::{gini, load_curve};
+use crate::report::{gini, load_curve, Csv};
 use crate::{parallel_sweep, Scale};
 use peertrack::{Builder, GroupConfig, IndexingMode, PrefixScheme};
 use workload::paper::PaperWorkload;
@@ -80,6 +80,19 @@ pub fn fig8a(scale: Scale) -> Vec<BalancePoint> {
     })
 }
 
+/// `results/fig8a.csv`: every scheme's full load curve.
+pub fn fig8a_csv(points: &[BalancePoint]) -> Csv {
+    let rows = points
+        .iter()
+        .flat_map(|p| {
+            p.curve.iter().map(|(xf, yf)| {
+                vec![p.scheme.label(), p.lp.to_string(), format!("{xf:.3}"), format!("{yf:.3}")]
+            })
+        })
+        .collect();
+    Csv { file: "fig8a.csv", header: &["scheme", "lp", "node_fraction", "load_fraction"], rows }
+}
+
 /// Fig. 8b: indexing cost per scheme across network sizes (5 000
 /// objects/node, scaled).
 pub fn fig8b(scale: Scale) -> Vec<SchemeCostPoint> {
@@ -101,6 +114,23 @@ pub fn fig8b(scale: Scale) -> Vec<SchemeCostPoint> {
             lp,
         }
     })
+}
+
+/// `results/fig8b.csv`: indexing cost per (scheme, network size).
+pub fn fig8b_csv(points: &[SchemeCostPoint]) -> Csv {
+    let rows = points
+        .iter()
+        .map(|p| {
+            vec![
+                p.scheme.label(),
+                p.nn.to_string(),
+                p.lp.to_string(),
+                p.messages.to_string(),
+                format!("{:.2}", p.log2_messages),
+            ]
+        })
+        .collect();
+    Csv { file: "fig8b.csv", header: &["scheme", "nn", "lp", "messages", "log2_messages"], rows }
 }
 
 #[cfg(test)]

@@ -34,6 +34,26 @@ pub fn write_csv<P: AsRef<Path>>(
     Ok(())
 }
 
+/// One figure's CSV: its file under `results/`, header and rows. Each
+/// figure module builds its own, so every binary that writes the file
+/// writes the same bytes.
+pub struct Csv {
+    /// File name under `results/`.
+    pub file: &'static str,
+    /// Column names.
+    pub header: &'static [&'static str],
+    /// Formatted cells, one row per point.
+    pub rows: Vec<Vec<String>>,
+}
+
+impl Csv {
+    /// Write the CSV to `results/<file>`.
+    pub fn write(&self) {
+        write_csv(results_path(self.file), self.header, &self.rows)
+            .unwrap_or_else(|e| panic!("write results/{}: {e}", self.file));
+    }
+}
+
 /// Print an aligned console table.
 pub fn print_table<T: Display>(title: &str, header: &[&str], rows: &[Vec<T>]) {
     println!("\n== {title} ==");

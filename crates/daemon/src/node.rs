@@ -38,6 +38,13 @@
 //! metrics therefore reproduces the simulator's global tally for the
 //! same workload (asserted by `tests/tests/cluster_parity.rs`).
 //!
+//! **Queries.** Locate and trace run [`peertrack::query`], the
+//! simulator's own algorithm, over this node's [`SiteReader`] reads:
+//! its own state for its own site, one RPC to the holding site
+//! otherwise; a lost RPC makes the answer incomplete. What stays here
+//! is driver-specific: the in-regime gateway probe, the revalidating
+//! locate cache and served-query attribution.
+//!
 //! **Routing.** Query-driven lookups run the iterative protocol for
 //! real: the origin drives [`chord::LookupDriver`] and asks each hop
 //! over the network ([`Frame::LookupStep`]); every node answers from
@@ -68,17 +75,17 @@
 //! timer would have fired. Wall-clock exists only in the latency
 //! histograms ([`obs::Recorder::record_latency`]).
 
-use crate::proto::{CostWire, Frame, ProtoError};
+use crate::proto::{Frame, ProtoError};
 use crate::state::WalRecord;
 use chord::{answer_step, LookupDriver, LookupResult, LookupState, Ring};
 use durable::{DataDir, FsyncMode};
 use ids::{Id, Prefix};
-use moods::{ObjectId, Path, SiteId, Visit};
+use moods::{ObjectId, SiteId};
 use obs::Recorder;
 use peertrack::config::GroupConfig;
 use peertrack::grouping::group_batch;
 use peertrack::messages::{Msg, Wire};
-use peertrack::query::QUERY_MSG_BYTES;
+use peertrack::query::{self, QueryCost, ReadResult, RecordRead, SiteReader, Unreachable};
 use peertrack::bytebuf::ByteBuf;
 use peertrack::codec;
 use peertrack::store::{GatewayStore, IndexEntry, IopRecord, IopStore, Link, PrefixIndex};
@@ -254,36 +261,6 @@ impl Node {
             .join()
             .expect("engine thread panicked")
     }
-}
-
-/// `NodeHandle` is the public alias used by the harness and binary.
-pub type NodeHandle = Node;
-
-/// Origin-side query cost accumulator (mirrors the private
-/// `peertrack::query::QueryCost::step`).
-#[derive(Clone, Copy, Debug, Default)]
-struct Cost {
-    messages: u64,
-    hops: u64,
-    bytes: u64,
-}
-
-impl Cost {
-    fn step(&mut self, n: u64) {
-        self.messages += n;
-        self.hops += n;
-        self.bytes += n * QUERY_MSG_BYTES as u64;
-    }
-
-    fn wire(&self) -> CostWire {
-        CostWire { messages: self.messages, hops: self.hops, bytes: self.bytes }
-    }
-}
-
-/// Traversal anchor (mirrors `peertrack::query::Anchor`).
-enum Anchor {
-    Record(SiteId),
-    Latest(Link),
 }
 
 /// A protocol message the core wants delivered. The core has already
@@ -1568,15 +1545,17 @@ impl Engine {
                 let (answer, cost, complete) = self.locate(object, t);
                 self.busy_conn = None;
                 self.account_query(&cost, started);
-                self.stage(idx, Frame::LocateResp { answer, cost: cost.wire(), complete });
+                self.stage(idx, Frame::LocateResp { answer, cost: cost.into(), complete });
             }
             Frame::Trace { object, t0, t1 } => {
                 let started = wall_us();
                 self.busy_conn = Some(idx);
-                let (path, cost, complete) = self.trace(object, t0, t1);
+                let mut cost = QueryCost::default();
+                let me = self.core.site;
+                let (path, _, complete) = query::trace_at(self, me, object, t0, t1, &mut cost);
                 self.busy_conn = None;
                 self.account_query(&cost, started);
-                self.stage(idx, Frame::TraceResp { path, cost: cost.wire(), complete });
+                self.stage(idx, Frame::TraceResp { path, cost: cost.into(), complete });
             }
             Frame::Status => {
                 self.stage(
@@ -1630,44 +1609,16 @@ impl Engine {
                 }
                 self.stage(idx, Frame::Ack);
             }
-            Frame::LookupStep { key } => {
-                let me = self.core.my_chord_id();
-                let node = self.core.ring.get(&me).expect("self in replica");
-                let answer = answer_step(node, &key, |id| self.core.ring.contains(id));
-                self.stage(idx, Frame::StepResp(answer));
-            }
-            Frame::GatewayProbe { object } => {
-                let link = self.local_gateway_probe(object);
-                self.stage(idx, Frame::LinkResp(link));
-            }
-            Frame::IopKnows { object } => {
-                let knows = self.core.iop.knows(object);
-                self.stage(idx, Frame::BoolResp(knows));
-            }
-            Frame::RecAt { object, time } => {
-                let rec = self.core.iop.record_at(object, time).copied();
-                self.stage(idx, Frame::RecResp(rec));
-            }
-            Frame::RecLatestAtOrBefore { object, t } => {
-                let rec = self.core.iop.latest_at_or_before(object, t).copied();
-                self.stage(idx, Frame::RecResp(rec));
-            }
-            Frame::RecFirst { object } => {
-                let rec = self.core.iop.all(object).first().copied();
-                self.stage(idx, Frame::RecResp(rec));
-            }
-            Frame::RecLatest { object } => {
-                let rec = self.core.iop.latest(object).copied();
-                self.stage(idx, Frame::RecResp(rec));
-            }
-            Frame::ReplRecAt { primary, object, time } => {
-                let rec = self
-                    .core
-                    .replica_iop
-                    .get(&primary)
-                    .and_then(|st| st.record_at(object, time))
-                    .copied();
-                self.stage(idx, Frame::RecResp(rec));
+            req @ (Frame::LookupStep { .. }
+            | Frame::GatewayProbe { .. }
+            | Frame::IopKnows { .. }
+            | Frame::RecAt { .. }
+            | Frame::RecLatestAtOrBefore { .. }
+            | Frame::RecFirst { .. }
+            | Frame::RecLatest { .. }
+            | Frame::ReplRecAt { .. }) => {
+                let reply = self.answer_read(&req);
+                self.stage(idx, reply);
             }
             // Response frames arriving outside a request context.
             Frame::Ack
@@ -1711,34 +1662,50 @@ impl Engine {
     }
 
     // ------------------------------------------------------------------
-    // Distributed lookup (origin drives, peers answer)
+    // Reads: this node's own state, or one RPC to a peer (the querying
+    // node drives, peers answer)
     // ------------------------------------------------------------------
 
-    /// Iterative Chord lookup over the network. Each hop's routing
-    /// decision comes from that node's own replica via
-    /// [`Frame::LookupStep`]; the local step is answered in-process.
-    /// Returns `None` on transport failure or routing loop.
-    fn lookup(&mut self, key: Id) -> Option<LookupResult> {
-        let me = self.core.my_chord_id();
-        let mut driver = LookupDriver::new(me, key, self.core.ring.len());
-        loop {
-            match driver.state() {
-                LookupState::Ask(node) => {
-                    let answer = if node == me {
-                        let state = self.core.ring.get(&node).expect("self in replica");
-                        answer_step(state, &key, |id| self.core.ring.contains(id))
-                    } else {
-                        let site = self.core.site_of_chord(&node);
-                        match self.rpc(site, &Frame::LookupStep { key }) {
-                            Ok(Frame::StepResp(a)) => a,
-                            _ => return None,
-                        }
-                    };
-                    driver.answer(answer);
-                }
-                LookupState::Done(result) => return Some(result),
-                LookupState::Failed(_) => return None,
+    /// Answer a read-only query RPC from this node's own state. Peers'
+    /// requests and this node's own reads (see [`Engine::read`]) both
+    /// come here, so a read means the same thing wherever it runs.
+    fn answer_read(&mut self, req: &Frame) -> Frame {
+        let iop = &self.core.iop;
+        match *req {
+            Frame::LookupStep { key } => {
+                let node = self.core.ring.get(&self.core.my_chord_id()).expect("self in replica");
+                Frame::StepResp(answer_step(node, &key, |id| self.core.ring.contains(id)))
             }
+            Frame::GatewayProbe { object } => Frame::LinkResp(self.local_gateway_probe(object)),
+            Frame::IopKnows { object } => Frame::BoolResp(iop.knows(object)),
+            Frame::RecAt { object, time } => Frame::RecResp(iop.record_at(object, time).copied()),
+            Frame::RecLatestAtOrBefore { object, t } => {
+                Frame::RecResp(iop.latest_at_or_before(object, t).copied())
+            }
+            Frame::RecFirst { object } => Frame::RecResp(iop.all(object).first().copied()),
+            Frame::RecLatest { object } => Frame::RecResp(iop.latest(object).copied()),
+            Frame::ReplRecAt { primary, object, time } => {
+                let copy = self.core.replica_iop.get(&primary);
+                Frame::RecResp(copy.and_then(|st| st.record_at(object, time)).copied())
+            }
+            _ => unreachable!("not a read request: {req:?}"),
+        }
+    }
+
+    /// One read at `site`: answered in-process when `site` is this
+    /// node, else by RPC. A failed RPC is [`Unreachable`].
+    fn read(&mut self, site: SiteId, req: Frame) -> ReadResult<Frame> {
+        if site == self.core.site {
+            return Ok(self.answer_read(&req));
+        }
+        self.rpc(site, &req).map_err(|_| Unreachable)
+    }
+
+    /// A visit-record read ([`Frame::RecResp`] reply) at `site`.
+    fn read_rec(&mut self, site: SiteId, req: Frame) -> ReadResult<Option<IopRecord>> {
+        match self.read(site, req)? {
+            Frame::RecResp(rec) => Ok(rec),
+            _ => Err(Unreachable),
         }
     }
 
@@ -1826,13 +1793,14 @@ impl Engine {
     }
 
     // ------------------------------------------------------------------
-    // Queries (ported from `peertrack::query`, reads via RPC)
+    // Queries: `peertrack::query` over this node's reads (local state
+    // for this site, one RPC per read elsewhere)
     // ------------------------------------------------------------------
 
     /// Charge a finished query. The model cost goes through the WAL —
     /// query traffic mutates the metrics, and metrics are recovered
     /// state — while the wall-clock latency stays engine-side.
-    fn account_query(&mut self, cost: &Cost, started_us: u64) {
+    fn account_query(&mut self, cost: &QueryCost, started_us: u64) {
         self.log_apply(WalRecord::Query {
             messages: cost.messages,
             hops: cost.hops,
@@ -1867,144 +1835,6 @@ impl Engine {
         None
     }
 
-    fn remote_knows(&mut self, site: SiteId, object: ObjectId) -> bool {
-        if site == self.core.site {
-            return self.core.iop.knows(object);
-        }
-        matches!(self.rpc(site, &Frame::IopKnows { object }), Ok(Frame::BoolResp(true)))
-    }
-
-    fn gateway_probe(&mut self, site: SiteId, object: ObjectId) -> Option<Link> {
-        if site == self.core.site {
-            return self.local_gateway_probe(object);
-        }
-        match self.rpc(site, &Frame::GatewayProbe { object }) {
-            Ok(Frame::LinkResp(l)) => l,
-            _ => None,
-        }
-    }
-
-    /// Read a visit record at whichever site holds it. Auxiliary reads
-    /// at the query's current cursor site are uncharged, like the
-    /// simulator's direct state reads; only cursor *moves* pay
-    /// (`fetch_record`'s `cost.step(1)`).
-    fn rec_at(&mut self, site: SiteId, object: ObjectId, time: SimTime) -> Option<IopRecord> {
-        if site == self.core.site {
-            return self.core.iop.record_at(object, time).copied();
-        }
-        match self.rpc(site, &Frame::RecAt { object, time }) {
-            Ok(Frame::RecResp(r)) => r,
-            _ => None,
-        }
-    }
-
-    fn rec_latest_at_or_before(
-        &mut self,
-        site: SiteId,
-        object: ObjectId,
-        t: SimTime,
-    ) -> Option<IopRecord> {
-        if site == self.core.site {
-            return self.core.iop.latest_at_or_before(object, t).copied();
-        }
-        match self.rpc(site, &Frame::RecLatestAtOrBefore { object, t }) {
-            Ok(Frame::RecResp(r)) => r,
-            _ => None,
-        }
-    }
-
-    fn rec_first(&mut self, site: SiteId, object: ObjectId) -> Option<IopRecord> {
-        if site == self.core.site {
-            return self.core.iop.all(object).first().copied();
-        }
-        match self.rpc(site, &Frame::RecFirst { object }) {
-            Ok(Frame::RecResp(r)) => r,
-            _ => None,
-        }
-    }
-
-    fn rec_latest(&mut self, site: SiteId, object: ObjectId) -> Option<IopRecord> {
-        if site == self.core.site {
-            return self.core.iop.latest(object).copied();
-        }
-        match self.rpc(site, &Frame::RecLatest { object }) {
-            Ok(Frame::RecResp(r)) => r,
-            _ => None,
-        }
-    }
-
-    /// Phase 1 of a query (`peertrack::query::discover`): find an
-    /// anchor, checking the local repository, then every node along the
-    /// routing path, then the gateway. Returns the anchor plus the site
-    /// the query's cursor rests at.
-    fn discover(&mut self, object: ObjectId, cost: &mut Cost) -> (Option<Anchor>, SiteId) {
-        if self.core.iop.knows(object) {
-            return (Some(Anchor::Record(self.core.site)), self.core.site);
-        }
-        let key = Prefix::of_id(&object.id(), self.core.lp).gateway_id();
-        let Some(r) = self.lookup(key) else {
-            return (None, self.core.site);
-        };
-        for nid in r.path.iter().skip(1) {
-            cost.step(1);
-            let site = self.core.site_of_chord(nid);
-            if *nid != r.owner && self.remote_knows(site, object) {
-                return (Some(Anchor::Record(site)), site);
-            }
-            if *nid == r.owner {
-                let link = self.gateway_probe(site, object);
-                return (link.map(Anchor::Latest), site);
-            }
-        }
-        // Path was just the origin: the origin owns the key.
-        let site = self.core.site_of_chord(&r.owner);
-        let link = self.gateway_probe(site, object);
-        (link.map(Anchor::Latest), site)
-    }
-
-    /// Walk one link with cursor accounting (`query::fetch_record`).
-    fn fetch_record(
-        &mut self,
-        current: &mut SiteId,
-        target: Link,
-        object: ObjectId,
-        cost: &mut Cost,
-    ) -> Option<IopRecord> {
-        if *current != target.site {
-            cost.step(1);
-            *current = target.site;
-        }
-        if target.site == self.core.site || self.core.members.contains_key(&target.site) {
-            return self.rec_at(target.site, object, target.time);
-        }
-        // The target site is permanently gone: probe the live holders
-        // of its replica repository, each probe a charged cursor move
-        // (mirrors `NetWorld::iop_record`'s read fallback).
-        for holder in self.core.holders_of_dead(target.site) {
-            cost.step(1);
-            let rec = if holder == self.core.site {
-                self.core
-                    .replica_iop
-                    .get(&target.site)
-                    .and_then(|st| st.record_at(object, target.time))
-                    .copied()
-            } else {
-                match self.rpc(
-                    holder,
-                    &Frame::ReplRecAt { primary: target.site, object, time: target.time },
-                ) {
-                    Ok(Frame::RecResp(r)) => r,
-                    _ => None,
-                }
-            };
-            if let Some(r) = rec {
-                *current = holder;
-                return Some(r);
-            }
-        }
-        None
-    }
-
     /// Membership changed: drop the locate cache wholesale, mirroring
     /// the simulator's conservative churn rule. (Entries would still
     /// revalidate to exact answers — this just refuses to carry a
@@ -2031,63 +1861,32 @@ impl Engine {
         link: Link,
         object: ObjectId,
         t: SimTime,
-        cost: &mut Cost,
+        cost: &mut QueryCost,
     ) -> Option<(Option<SiteId>, bool)> {
         let mut current = self.core.site;
         if t < link.time {
-            // The cached link is in the object's past: walk backward
-            // from it exactly as an `Anchor::Latest` walk would. Even
-            // a stale "latest" is a correct historical anchor.
-            let mut cur = link;
-            loop {
-                let Some(rec) = self.fetch_record(&mut current, cur, object, cost) else {
-                    return if cur == link { None } else { Some((None, false)) };
-                };
-                if cur.time <= t {
-                    return Some((Some(cur.site), true));
-                }
-                match rec.from {
-                    None => return Some((None, true)),
-                    Some(prev) => {
-                        if prev.time <= t {
-                            return Some((Some(prev.site), true));
-                        }
-                        cur = prev;
-                    }
-                }
-            }
+            // The cached link is in the object's past: even a stale
+            // "latest" is a correct historical anchor.
+            return query::walk_back_from(self, &mut current, link, object, t, cost);
         }
         // t >= link.time: the cached holder answers unless the object
         // has moved on. One record fetch revalidates; a populated `to`
         // chain means it did move — follow it forward and refresh the
         // entry with the newest link reached.
-        let mut cur = link;
-        loop {
-            let Some(rec) = self.fetch_record(&mut current, cur, object, cost) else {
-                return if cur == link { None } else { Some((None, false)) };
-            };
-            let onward = match rec.to {
-                Some(next) if t >= next.time => Some(next),
-                _ => None,
-            };
-            match onward {
-                Some(next) => cur = next,
-                None => {
-                    if cur != link {
-                        if let Some(cache) = self.locate_cache.as_mut() {
-                            cache.insert(object, 0, cur);
-                        }
-                    }
-                    return Some((Some(cur.site), true));
-                }
-            }
+        let (fresh, complete) =
+            query::walk_forward_from(self, &mut current, link, object, t, cost)?;
+        if let (Some(l), Some(cache)) = (fresh.filter(|&l| l != link), self.locate_cache.as_mut()) {
+            cache.insert(object, 0, l);
         }
+        Some((fresh.map(|l| l.site), complete))
     }
 
-    /// `L(o, t)` with this node as origin (ported `query::locate_raw`,
-    /// plus the locate-answer cache of DESIGN.md §15 when configured).
-    fn locate(&mut self, object: ObjectId, t: SimTime) -> (Option<SiteId>, Cost, bool) {
-        let mut cost = Cost::default();
+    /// `L(o, t)` with this node as origin: the locate-answer cache of
+    /// DESIGN.md §15 when configured, else the shared query, then
+    /// served-query attribution.
+    fn locate(&mut self, object: ObjectId, t: SimTime) -> (Option<SiteId>, QueryCost, bool) {
+        let mut cost = QueryCost::default();
+        let me = self.core.site;
         // Daemon cache entries carry no epoch (always 0): revalidation
         // replaces the simulator's epoch check.
         if let Some(link) = self.locate_cache.as_mut().and_then(|c| c.get(object, 0)) {
@@ -2095,172 +1894,116 @@ impl Engine {
             {
                 // Cache hits attribute the served locate to the origin
                 // itself, as the simulator does.
-                *self.query_load.entry(self.core.site).or_default() += 1;
+                *self.query_load.entry(me).or_default() += 1;
                 return (answer, cost, complete);
             }
             if let Some(cache) = self.locate_cache.as_mut() {
                 cache.invalidate(object);
             }
         }
-        let (anchor, mut current) = self.discover(object, &mut cost);
-        let Some(anchor) = anchor else {
-            return (None, cost, true);
-        };
-        // `discover` rests the cursor on the answering site — local
-        // repository, intermediate record holder or gateway — which is
-        // exactly where the simulator attributes the served locate.
-        *self.query_load.entry(current).or_default() += 1;
-        match anchor {
-            Anchor::Latest(link) => {
-                // Fill only from gateway discoveries, like the
-                // simulator: the gateway's latest link is the one
-                // answer worth reusing.
-                if let Some(cache) = self.locate_cache.as_mut() {
-                    cache.insert(object, 0, link);
-                }
-                if t >= link.time {
-                    return (Some(link.site), cost, true);
-                }
-                let mut cur = link;
-                loop {
-                    let Some(rec) = self.fetch_record(&mut current, cur, object, &mut cost)
-                    else {
-                        return (None, cost, false);
-                    };
-                    if cur.time <= t {
-                        return (Some(cur.site), cost, true);
-                    }
-                    match rec.from {
-                        None => return (None, cost, true),
-                        Some(prev) => {
-                            if prev.time <= t {
-                                return (Some(prev.site), cost, true);
-                            }
-                            cur = prev;
-                        }
-                    }
-                }
-            }
-            Anchor::Record(site) => {
-                if let Some(rec) = self.rec_latest_at_or_before(site, object, t) {
-                    match rec.to {
-                        None => return (Some(site), cost, true),
-                        Some(next) if t < next.time => return (Some(site), cost, true),
-                        Some(next) => {
-                            let mut cur = next;
-                            loop {
-                                let Some(r) =
-                                    self.fetch_record(&mut current, cur, object, &mut cost)
-                                else {
-                                    return (None, cost, false);
-                                };
-                                match r.to {
-                                    None => return (Some(cur.site), cost, true),
-                                    Some(nn) if t < nn.time => {
-                                        return (Some(cur.site), cost, true)
-                                    }
-                                    Some(nn) => cur = nn,
-                                }
-                            }
-                        }
+        let (answer, source, complete, latest) =
+            query::locate_at(self, me, object, t, &mut cost);
+        // Attribute the served locate where the simulator does.
+        if let Some(s) = source.answered_at(me) {
+            *self.query_load.entry(s).or_default() += 1;
+        }
+        // Fill only from gateway discoveries, like the simulator: the
+        // gateway's latest link is the one answer worth reusing.
+        if let (Some(link), Some(cache)) = (latest, self.locate_cache.as_mut()) {
+            cache.insert(object, 0, link);
+        }
+        (answer, cost, complete)
+    }
+}
+
+/// The daemon's query reads: this node's own state for its own site,
+/// one RPC to the holding site otherwise. A failed RPC is
+/// [`Unreachable`], which the query reports as an incomplete answer.
+impl SiteReader for Engine {
+    fn gateway_key(&self, object: ObjectId) -> Id {
+        Prefix::of_id(&object.id(), self.core.lp).gateway_id()
+    }
+
+    /// The iterative Chord lookup, driven here at the origin (`from`
+    /// is always this node): each hop's routing decision comes from
+    /// that node's own replica via [`Frame::LookupStep`].
+    fn route(&mut self, from: SiteId, key: Id) -> ReadResult<LookupResult> {
+        debug_assert_eq!(from, self.core.site);
+        let mut driver = LookupDriver::new(self.core.my_chord_id(), key, self.core.ring.len());
+        loop {
+            match driver.state() {
+                LookupState::Ask(node) => {
+                    let site = self.core.site_of_chord(&node);
+                    match self.read(site, Frame::LookupStep { key })? {
+                        Frame::StepResp(answer) => driver.answer(answer),
+                        _ => return Err(Unreachable),
                     }
                 }
-                let Some(first) = self.rec_first(site, object) else {
-                    return (None, cost, false);
-                };
-                match first.from {
-                    None => (None, cost, true),
-                    Some(prev) => {
-                        let mut cur = prev;
-                        loop {
-                            if cur.time <= t {
-                                return (Some(cur.site), cost, true);
-                            }
-                            let Some(rec) =
-                                self.fetch_record(&mut current, cur, object, &mut cost)
-                            else {
-                                return (None, cost, false);
-                            };
-                            match rec.from {
-                                None => return (None, cost, true),
-                                Some(p) => cur = p,
-                            }
-                        }
-                    }
-                }
+                LookupState::Done(result) => return Ok(result),
+                LookupState::Failed(_) => return Err(Unreachable),
             }
         }
     }
 
-    /// `TR(o, t0, t1)` with this node as origin (ported
-    /// `query::trace_raw`).
-    fn trace(&mut self, object: ObjectId, t0: SimTime, t1: SimTime) -> (Path, Cost, bool) {
-        let mut cost = Cost::default();
-        if t0 > t1 {
-            return (Vec::new(), cost, true);
+    fn site_of(&self, node: &Id) -> SiteId {
+        self.core.site_of_chord(node)
+    }
+
+    fn knows(&mut self, site: SiteId, object: ObjectId) -> ReadResult<bool> {
+        match self.read(site, Frame::IopKnows { object })? {
+            Frame::BoolResp(knows) => Ok(knows),
+            _ => Err(Unreachable),
         }
-        let (anchor, mut current) = self.discover(object, &mut cost);
-        let Some(anchor) = anchor else {
-            return (Vec::new(), cost, true);
-        };
-        let mut complete = true;
+    }
 
-        let start = match anchor {
-            Anchor::Latest(link) => link,
-            Anchor::Record(site) => {
-                let Some(rec) = self.rec_latest(site, object) else {
-                    return (Vec::new(), cost, false);
-                };
-                Link { site, time: rec.arrived }
-            }
-        };
-
-        let mut after: Vec<Visit> = Vec::new();
-        let mut anchor_from: Option<Link> = None;
-        let mut cur = start;
-        loop {
-            let Some(rec) = self.fetch_record(&mut current, cur, object, &mut cost) else {
-                complete = false;
-                break;
-            };
-            if cur == start {
-                anchor_from = rec.from;
-            }
-            after.push(Visit {
-                site: cur.site,
-                arrived: cur.time,
-                departed: rec.to.map(|x| x.time),
-            });
-            match rec.to {
-                Some(next) if next.time <= t1 => cur = next,
-                _ => break,
-            }
+    /// The in-regime probe (current-`Lp` shard only), which charges no
+    /// further messages.
+    fn gateway_lookup(
+        &mut self,
+        gateway: SiteId,
+        object: ObjectId,
+        _cost: &mut QueryCost,
+    ) -> ReadResult<Option<Link>> {
+        match self.read(gateway, Frame::GatewayProbe { object })? {
+            Frame::LinkResp(link) => Ok(link),
+            _ => Err(Unreachable),
         }
+    }
 
-        let mut before: Vec<Visit> = Vec::new();
-        if start.time > t0 {
-            let mut back = anchor_from;
-            while let Some(l) = back {
-                let Some(rec) = self.fetch_record(&mut current, l, object, &mut cost) else {
-                    complete = false;
-                    break;
-                };
-                before.push(Visit {
-                    site: l.site,
-                    arrived: l.time,
-                    departed: rec.to.map(|x| x.time),
-                });
-                if l.time <= t0 {
-                    break;
-                }
-                back = rec.from;
-            }
-        }
+    fn record(
+        &mut self,
+        site: SiteId,
+        object: ObjectId,
+        which: RecordRead,
+    ) -> ReadResult<Option<IopRecord>> {
+        self.read_rec(
+            site,
+            match which {
+                RecordRead::At(time) => Frame::RecAt { object, time },
+                RecordRead::AtOrBefore(t) => Frame::RecLatestAtOrBefore { object, t },
+                RecordRead::First => Frame::RecFirst { object },
+                RecordRead::Latest => Frame::RecLatest { object },
+            },
+        )
+    }
 
-        before.reverse();
-        before.extend(after);
-        let path: Path = before.into_iter().filter(|v| v.overlaps(t0, t1)).collect();
-        (path, cost, complete)
+    fn alive(&self, site: SiteId) -> bool {
+        site == self.core.site || self.core.members.contains_key(&site)
+    }
+
+    /// The dead site's ring successors, in ring order.
+    fn replica_holders(&self, dead: SiteId) -> Vec<SiteId> {
+        self.core.holders_of_dead(dead)
+    }
+
+    fn replica_record_at(
+        &mut self,
+        holder: SiteId,
+        primary: SiteId,
+        object: ObjectId,
+        time: SimTime,
+    ) -> ReadResult<Option<IopRecord>> {
+        self.read_rec(holder, Frame::ReplRecAt { primary, object, time })
     }
 }
 
@@ -2280,15 +2023,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn cost_step_mirrors_query_cost() {
-        let mut c = Cost::default();
-        c.step(3);
-        assert_eq!(c.messages, 3);
-        assert_eq!(c.hops, 3);
-        assert_eq!(c.bytes, 3 * QUERY_MSG_BYTES as u64);
     }
 
     #[test]

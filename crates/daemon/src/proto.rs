@@ -26,6 +26,7 @@ use moods::{ObjectId, Path, SiteId, Visit};
 use peertrack::bytebuf::{ByteBuf, Bytes};
 use peertrack::codec;
 use peertrack::messages::Wire;
+use peertrack::query::QueryCost;
 use peertrack::store::{IopRecord, Link};
 use simnet::SimTime;
 
@@ -73,6 +74,12 @@ pub struct CostWire {
     pub hops: u64,
     /// Model payload bytes.
     pub bytes: u64,
+}
+
+impl From<QueryCost> for CostWire {
+    fn from(c: QueryCost) -> CostWire {
+        CostWire { messages: c.messages, hops: c.hops, bytes: c.bytes }
+    }
 }
 
 /// Everything that crosses a daemon socket.

@@ -7,7 +7,7 @@
 
 use crate::config::{Config, IndexingMode, Placement, ReplicationConfig, RetryConfig};
 use crate::messages::Wire;
-use crate::query::{self, QueryStats};
+use crate::query::{self, AnswerSource, QueryCost, QueryStats};
 use crate::spans;
 use crate::world::{Anomalies, NetWorld};
 use chord::Ring;
@@ -429,7 +429,41 @@ impl TraceableNetwork {
         object: ObjectId,
         t: SimTime,
     ) -> (Option<SiteId>, QueryStats) {
-        let (ans, cost, source, complete) = query::locate(&mut self.world, from, object, t);
+        let world = &mut self.world;
+        let mut cost = QueryCost::default();
+        // The locate cache (DESIGN.md §15) guards each entry with the
+        // object's movement epoch, so a live entry is the latest link.
+        // Without a cache the dispatch is exactly `query::locate_at`.
+        let epoch = world.config.locate_cache.map(|_| world.epochs.of(object));
+        let idx = from.0 as usize;
+        let hit = epoch.and_then(|e| world.sites[idx].locate_cache.as_mut()?.get(object, e));
+        let (ans, source, complete) = match hit {
+            // The cached link *is* the latest state: answer free.
+            Some(link) if t >= link.time => (Some(link.site), AnswerSource::Cached, true),
+            // Historical query: the cached link is a valid walk anchor —
+            // discovery is skipped, only the IOP walk is paid.
+            Some(link) => {
+                let mut current = from;
+                let walked =
+                    query::walk_back_from(&mut &*world, &mut current, link, object, t, &mut cost);
+                let (ans, complete) = walked.unwrap_or((None, false));
+                (ans, AnswerSource::Cached, complete)
+            }
+            None => {
+                let (ans, source, complete, latest) =
+                    query::locate_at(&mut &*world, from, object, t, &mut cost);
+                // Only gateway answers fill the cache: the latest link
+                // is the authoritative state the epoch guards.
+                if let (Some(link), Some(e)) = (latest, epoch) {
+                    let cache = world.sites[idx].locate_cache.as_mut();
+                    cache.expect("enabled implies allocated").insert(object, e, link);
+                }
+                (ans, source, complete)
+            }
+        };
+        if let Some(s) = source.answered_at(from) {
+            world.sites[s.0 as usize].query_load += 1;
+        }
         let stats = self.account(spans::QUERY_LOCATE, from, cost, source, complete);
         (ans, stats)
     }
@@ -443,7 +477,9 @@ impl TraceableNetwork {
         t0: SimTime,
         t1: SimTime,
     ) -> (Path, QueryStats) {
-        let (path, cost, source, complete) = query::trace_raw(&self.world, from, object, t0, t1);
+        let mut cost = QueryCost::default();
+        let (path, source, complete) =
+            query::trace_at(&mut &self.world, from, object, t0, t1, &mut cost);
         let stats = self.account(spans::QUERY_TRACE, from, cost, source, complete);
         (path, stats)
     }
@@ -452,8 +488,8 @@ impl TraceableNetwork {
         &mut self,
         span_kind: u32,
         from: SiteId,
-        cost: query::QueryCost,
-        source: query::AnswerSource,
+        cost: QueryCost,
+        source: AnswerSource,
         complete: bool,
     ) -> QueryStats {
         // Hop latency from the model, plus the deterministic WAN wire
@@ -753,12 +789,14 @@ impl NetReader<'_> {
 
 impl Locate for NetReader<'_> {
     fn locate(&self, object: ObjectId, t: SimTime) -> Option<SiteId> {
-        query::locate_raw(self.world, self.origin(), object, t).0
+        let (mut world, cost) = (self.world, &mut QueryCost::default());
+        query::locate_at(&mut world, self.origin(), object, t, cost).0
     }
 }
 
 impl Trace for NetReader<'_> {
     fn trace(&self, object: ObjectId, t0: SimTime, t1: SimTime) -> Path {
-        query::trace_raw(self.world, self.origin(), object, t0, t1).0
+        let (mut world, cost) = (self.world, &mut QueryCost::default());
+        query::trace_at(&mut world, self.origin(), object, t0, t1, cost).0
     }
 }

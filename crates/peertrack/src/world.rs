@@ -244,18 +244,10 @@ impl NetWorld {
     }
 
     /// Route from a site towards a DHT key: returns `(owner site index,
-    /// hops)`. Panics on routing failure — the runtime stabilizes after
-    /// churn, so lookups always converge.
-    pub(crate) fn route(&self, from: SiteId, key: Id) -> (usize, u32) {
-        let from_chord = self.sites[self.site_idx(from)].chord_id;
-        let r = self.ring.lookup(from_chord, key).expect("overlay lookup failed");
-        let owner = self.ring.app_index_of(&r.owner).expect("owner is a member");
-        (owner, r.hops)
-    }
-
-    /// [`NetWorld::route`], additionally emitting one `LookupHop` trace
-    /// event per node visited when a sink is installed. Behaviour and
-    /// result are identical to `route` — tracing never changes routing.
+    /// hops)`, and emits one `LookupHop` trace event per node visited
+    /// when a sink is installed. Panics on routing failure — the runtime
+    /// stabilizes after churn, so lookups always converge. Tracing never
+    /// changes routing.
     pub(crate) fn route_traced(
         &self,
         sim: &mut Sim<Wire>,

@@ -1,11 +1,10 @@
 //! Nonblocking I/O building blocks for the daemon's event loop.
 //!
-//! The blocking [`crate::server::Server`] spawns one reader thread per
-//! accepted connection; at load that model caps pipelining (one frame
-//! in flight per thread wake) and makes fairness an accident of the
-//! scheduler. This module is the readiness-driven alternative, std-only
-//! per the hermetic policy (no mio/epoll binding — `set_nonblocking`
-//! plus a poll loop):
+//! One thread serves every accepted connection: a readiness-driven
+//! poll loop, so many frames are in flight per connection and fairness
+//! is the loop's choice rather than the scheduler's. Std-only per the
+//! hermetic policy (no mio/epoll binding — `set_nonblocking` plus a
+//! poll loop):
 //!
 //! * [`FrameAccum`] — an incremental decoder for the length-prefixed
 //!   framing of [`crate::frame`]: bytes go in at *any* split boundary,

@@ -217,33 +217,6 @@ if [[ -n "$violations" ]]; then
 fi
 echo "OK: all Cargo.toml dependencies are path-only."
 
-# The observability crate must be part of the workspace (and therefore
-# of the policy scan above).
-grep -q 'crates/obs' Cargo.toml \
-    || { echo "crates/obs missing from the workspace manifest" >&2; exit 1; }
-echo "OK: crates/obs is in the workspace."
-
-# So must the real-network path (transport framing + the daemon) and
-# the durability layer under it (WAL + snapshots), which the crash
-# recovery test verifies against the simulator oracle.
-for c in transport daemon durable; do
-    grep -q "crates/$c" Cargo.toml \
-        || { echo "crates/$c missing from the workspace manifest" >&2; exit 1; }
-done
-echo "OK: crates/transport, crates/daemon and crates/durable are in the workspace."
-
-# And the query-path caching subsystem (DESIGN.md §15), which both the
-# simulator and the daemon link against.
-grep -q 'crates/qcache' Cargo.toml \
-    || { echo "crates/qcache missing from the workspace manifest" >&2; exit 1; }
-echo "OK: crates/qcache is in the workspace."
-
-# And the WAN topology subsystem (DESIGN.md §17), consumed by the
-# simulator's latency plane and the loopback cluster harness alike.
-grep -q 'crates/geo' Cargo.toml \
-    || { echo "crates/geo missing from the workspace manifest" >&2; exit 1; }
-echo "OK: crates/geo is in the workspace."
-
 # Generalized membership check: every directory under crates/ must be a
 # workspace member, so a newly added crate can never dodge the build,
 # the tests, or the dependency-policy scan above.

@@ -59,6 +59,15 @@ fn five_node_cluster_matches_simulator_and_oracle() {
     // Identical query sequence against both (queries are themselves
     // charged traffic, so the sequences must match for metric parity).
     let probes: Vec<SimTime> = (0..8).map(|i| secs(i * 700)).collect();
+    // The whole history, plus bounded windows: a lower edge after the
+    // first visit makes the trace walk backward from its anchor and
+    // filter visits by overlap.
+    let windows = [
+        (SimTime::ZERO, SimTime::INFINITY),
+        (secs(700), secs(2_100)),
+        (secs(1_400), secs(4_900)),
+        (secs(2_800), secs(2_800)),
+    ];
     for site in 0..SITES as u32 {
         for serial in 0..VOL as u64 {
             let o = workload::epc_object(site, serial);
@@ -79,19 +88,20 @@ fn five_node_cluster_matches_simulator_and_oracle() {
                 );
             }
 
-            let truth = t.oracle.trace(o, SimTime::ZERO, SimTime::INFINITY);
-            let (sim_path, sim_stats) = t.net.trace(origin, o, SimTime::ZERO, SimTime::INFINITY);
-            let (net_path, net_cost, complete) = cluster
-                .trace(origin, o, SimTime::ZERO, SimTime::INFINITY)
-                .expect("cluster trace");
-            assert!(complete, "cluster trace incomplete for {o:?}");
-            assert_eq!(sim_path, truth, "simulator trace vs oracle for {o:?}");
-            assert_eq!(net_path, truth, "cluster trace vs oracle for {o:?}");
-            assert_eq!(
-                (net_cost.messages, net_cost.hops, net_cost.bytes),
-                (sim_stats.messages, sim_stats.hops, sim_stats.bytes),
-                "trace cost diverged for {o:?}"
-            );
+            for &(t0, t1) in &windows {
+                let truth = t.oracle.trace(o, t0, t1);
+                let (sim_path, sim_stats) = t.net.trace(origin, o, t0, t1);
+                let (net_path, net_cost, complete) =
+                    cluster.trace(origin, o, t0, t1).expect("cluster trace");
+                assert!(complete, "cluster trace incomplete for {o:?} in [{t0}, {t1}]");
+                assert_eq!(sim_path, truth, "simulator trace vs oracle for {o:?} in [{t0}, {t1}]");
+                assert_eq!(net_path, truth, "cluster trace vs oracle for {o:?} in [{t0}, {t1}]");
+                assert_eq!(
+                    (net_cost.messages, net_cost.hops, net_cost.bytes),
+                    (sim_stats.messages, sim_stats.hops, sim_stats.bytes),
+                    "trace cost diverged for {o:?} in [{t0}, {t1}]"
+                );
+            }
         }
     }
 
