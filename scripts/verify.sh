@@ -45,15 +45,16 @@ echo "== tracing-off / cache-off byte-identity: figure CSVs =="
 # like the figures.
 for bin in fig6a_indexing_volume fig6b_indexing_netsize fig7a_query_netsize \
            fig7b_query_volume fig8a_load_balance fig8b_scheme_cost fault_sweep \
-           zipf_sweep; do
+           zipf_sweep ablations; do
     ./target/release/"$bin" > /dev/null
 done
 git diff --exit-code -- \
     results/fig6a.csv results/fig6b.csv results/fig7a.csv results/fig7b.csv \
     results/fig8a.csv results/fig8b.csv results/fault_sweep.csv \
     results/zipf_sweep_off.csv results/zipf_sweep_on.csv results/BENCH_qcache.json \
+    results/ablations.csv \
     || { echo "figure CSVs drifted from the committed baselines" >&2; exit 1; }
-echo "OK: fig6/7/8 + fault_sweep + zipf_sweep byte-identical to committed baselines."
+echo "OK: fig6/7/8 + fault_sweep + zipf_sweep + ablations byte-identical to committed baselines."
 
 echo "== WAN federation sweep byte-identity (DESIGN.md §17) =="
 # Flat ring vs proximity placement over the three-region wan3 topology
