@@ -3,9 +3,10 @@
 //! A calendar queue (Brown 1988) spreads pending events over a ring of
 //! day buckets, `day = time / width`, `bucket = day mod nbuckets`. With
 //! the bucket width tracking the mean inter-event gap, both `push` and
-//! `pop` are O(1) amortized — the property that lets the simulator's
-//! event loop stay flat while the `BinaryHeap` baseline pays O(log n)
-//! per operation on million-event backlogs.
+//! `pop` are O(1) amortized — the property that lets the sharded
+//! engine's ([`crate::shard`]) event loop stay flat on million-event
+//! backlogs, where the `BinaryHeap` that [`crate::Sim`] runs pays
+//! O(log n) per operation.
 //!
 //! The ordering contract is exactly the simulator's `Scheduled`
 //! contract: events pop in ascending `(time, seq)` order, with `seq`

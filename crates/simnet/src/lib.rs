@@ -46,6 +46,6 @@ pub use geoplane::{GeoConfig, GeoPlane};
 pub use latency::{ConstantPerHop, LatencyModel, UniformJitter};
 pub use metrics::{Metrics, MsgClass, SharedMetrics};
 pub use shard::{ShardConfig, ShardCtx, ShardRun, ShardWorld};
-pub use sim::{NodeIndex, SchedulerKind, Sim, SimConfig, TimerId, World};
+pub use sim::{NodeIndex, Sim, SimConfig, TimerId, World};
 pub use time::SimTime;
 pub use trace::{EventId, SpanId, TraceEvent, TraceKind, TraceSink};

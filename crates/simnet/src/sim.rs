@@ -11,7 +11,6 @@
 //! seed and the same workload therefore produce byte-identical metrics —
 //! the property that makes the reproduced figures exactly re-runnable.
 
-use crate::calendar::CalendarQueue;
 use crate::fault::{FaultConfig, FaultPlane, FaultStats};
 use crate::geoplane::{GeoConfig, GeoPlane};
 use crate::latency::{ConstantPerHop, LatencyModel};
@@ -74,88 +73,6 @@ impl<M> Ord for Scheduled<M> {
     }
 }
 
-/// Which event-queue implementation the engine runs on.
-///
-/// Both honor the exact `(time, seq)` ordering contract, so a run is
-/// byte-identical under either scheduler (a property test and the
-/// committed-CSV gates check this). `Heap` is the long-standing
-/// baseline; `Calendar` is the O(1)-amortized bucketed queue
-/// ([`crate::calendar`]) that keeps per-event cost flat on
-/// million-event backlogs.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum SchedulerKind {
-    /// `BinaryHeap<Reverse<Scheduled>>`: O(log n) push/pop.
-    #[default]
-    Heap,
-    /// Bucketed calendar queue: O(1) amortized push/pop.
-    Calendar,
-}
-
-/// The engine's internal event queue, selected by [`SchedulerKind`].
-enum EventQueue<M> {
-    Heap(BinaryHeap<Reverse<Scheduled<M>>>),
-    Calendar {
-        q: CalendarQueue<Scheduled<M>>,
-        /// One-slot lookahead so `next_time` (a peek) works on a queue
-        /// that only supports pop. Always the global minimum when set.
-        peeked: Option<Scheduled<M>>,
-    },
-}
-
-impl<M> EventQueue<M> {
-    fn new(kind: SchedulerKind) -> Self {
-        match kind {
-            SchedulerKind::Heap => EventQueue::Heap(BinaryHeap::new()),
-            SchedulerKind::Calendar => {
-                EventQueue::Calendar { q: CalendarQueue::new(), peeked: None }
-            }
-        }
-    }
-
-    fn push(&mut self, ev: Scheduled<M>) {
-        match self {
-            EventQueue::Heap(h) => h.push(Reverse(ev)),
-            EventQueue::Calendar { q, peeked } => {
-                // Restore the lookahead first so the slot stays the
-                // minimum (the new event may sort before it).
-                if let Some(p) = peeked.take() {
-                    q.push(p.time.as_micros(), p.seq, p);
-                }
-                q.push(ev.time.as_micros(), ev.seq, ev);
-            }
-        }
-    }
-
-    fn pop(&mut self) -> Option<Scheduled<M>> {
-        match self {
-            EventQueue::Heap(h) => h.pop().map(|Reverse(ev)| ev),
-            EventQueue::Calendar { q, peeked } => {
-                peeked.take().or_else(|| q.pop().map(|(_, _, ev)| ev))
-            }
-        }
-    }
-
-    /// Time of the earliest queued event, if any.
-    fn next_time(&mut self) -> Option<SimTime> {
-        match self {
-            EventQueue::Heap(h) => h.peek().map(|Reverse(ev)| ev.time),
-            EventQueue::Calendar { q, peeked } => {
-                if peeked.is_none() {
-                    *peeked = q.pop().map(|(_, _, ev)| ev);
-                }
-                peeked.as_ref().map(|ev| ev.time)
-            }
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            EventQueue::Heap(h) => h.len(),
-            EventQueue::Calendar { q, peeked } => q.len() + usize::from(peeked.is_some()),
-        }
-    }
-}
-
 /// Configuration for a simulation run.
 pub struct SimConfig {
     /// RNG seed; equal seeds give identical runs.
@@ -175,10 +92,6 @@ pub struct SimConfig {
     /// — keeps the run allocation-free and byte-identical to an
     /// untraced run.
     pub trace: Option<Box<dyn TraceSink>>,
-    /// Event-queue implementation. `Heap` (the default) is the
-    /// long-standing baseline; `Calendar` gives O(1) amortized
-    /// scheduling for large runs. Either way, runs are byte-identical.
-    pub scheduler: SchedulerKind,
 }
 
 impl Default for SimConfig {
@@ -189,7 +102,6 @@ impl Default for SimConfig {
             faults: None,
             geo: None,
             trace: None,
-            scheduler: SchedulerKind::default(),
         }
     }
 }
@@ -225,17 +137,11 @@ impl SimConfig {
         self
     }
 
-    /// Select the event-queue implementation.
-    pub fn with_scheduler(mut self, scheduler: SchedulerKind) -> Self {
-        self.scheduler = scheduler;
-        self
-    }
-
     /// Build the engine.
     pub fn build<M>(self) -> Sim<M> {
         Sim {
             now: SimTime::ZERO,
-            queue: EventQueue::new(self.scheduler),
+            queue: BinaryHeap::new(),
             seq: 0,
             next_timer: 0,
             cancelled: HashSet::new(),
@@ -256,7 +162,7 @@ impl SimConfig {
 /// The discrete-event simulator.
 pub struct Sim<M> {
     now: SimTime,
-    queue: EventQueue<M>,
+    queue: BinaryHeap<Reverse<Scheduled<M>>>,
     seq: u64,
     next_timer: u64,
     cancelled: HashSet<u64>,
@@ -465,7 +371,7 @@ impl<M> Sim<M> {
     fn push(&mut self, mut ev: Scheduled<M>) {
         ev.seq = self.seq;
         self.seq += 1;
-        self.queue.push(ev);
+        self.queue.push(Reverse(ev));
     }
 
     /// Queue a delivery, or park it if its region pair is severed. The
@@ -553,7 +459,7 @@ impl<M> Sim<M> {
                 if ev.time < self.now {
                     ev.time = self.now;
                 }
-                self.queue.push(ev);
+                self.queue.push(Reverse(ev));
             }
         }
     }
@@ -699,7 +605,7 @@ impl<M> Sim<M> {
     /// Process one event. Returns `false` when the queue is empty.
     pub fn step<W: World<M>>(&mut self, world: &mut W) -> bool {
         loop {
-            let Some(ev) = self.queue.pop() else {
+            let Some(Reverse(ev)) = self.queue.pop() else {
                 return false;
             };
             debug_assert!(ev.time >= self.now, "event queue went backwards");
@@ -766,7 +672,7 @@ impl<M> Sim<M> {
     /// `deadline` are processed). Remaining events stay queued.
     pub fn run_until<W: World<M>>(&mut self, world: &mut W, deadline: SimTime) {
         loop {
-            match self.queue.next_time() {
+            match self.queue.peek().map(|Reverse(ev)| ev.time) {
                 Some(t) if t <= deadline => {
                     self.step(world);
                 }
@@ -895,27 +801,6 @@ mod tests {
         sim.set_timer(0, ms(5), 1);
         sim.run_until_quiescent(&mut w);
         sim.schedule(ms(1), 0, 2);
-    }
-
-    #[test]
-    fn calendar_scheduler_is_a_drop_in() {
-        fn run(kind: SchedulerKind) -> (Vec<(u64, String)>, String) {
-            let mut sim: Sim<&'static str> = SimConfig::default()
-                .with_scheduler(kind)
-                .with_latency(Box::new(crate::latency::UniformJitter::new(ms(5), ms(2))))
-                .build();
-            let mut w = Recorder::default();
-            for i in 0..50 {
-                sim.send(0, 1, MsgClass::Lookup, 8, 1 + (i % 4), "ping");
-                sim.set_timer(0, ms(i as u64), i as u64);
-            }
-            let t = sim.set_timer(0, ms(3), 999);
-            sim.cancel_timer(t);
-            sim.run_until(&mut w, ms(20));
-            sim.run_until_quiescent(&mut w);
-            (w.log, format!("{:?}", sim.metrics()))
-        }
-        assert_eq!(run(SchedulerKind::Heap), run(SchedulerKind::Calendar));
     }
 
     #[test]

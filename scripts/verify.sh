@@ -16,6 +16,12 @@ cargo test -q --offline
 echo "== benches compile (offline) =="
 cargo build --offline --benches
 
+echo "== repository benchmark compiles (offline) =="
+# perfbench is its own Cargo workspace (path deps on crates/*), so the
+# workspace build above does not cover it; a public-API change that
+# breaks it must fail here rather than when the benchmark runs.
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "== schedule auditor (fast budget) =="
 # Random op schedules under 5% drop with retries on must preserve every
 # invariant, and — with K-successor replication on — random schedules
