@@ -86,11 +86,9 @@ use peertrack::config::GroupConfig;
 use peertrack::grouping::group_batch;
 use peertrack::messages::{Msg, Wire};
 use peertrack::query::{self, QueryCost, ReadResult, RecordRead, SiteReader, Unreachable};
-use peertrack::bytebuf::ByteBuf;
-use peertrack::codec;
-use peertrack::store::{GatewayStore, IndexEntry, IopRecord, IopStore, Link, PrefixIndex};
+use peertrack::site::{self, Anomalies, Effect, Rules, Site};
+use peertrack::store::{IopRecord, Link};
 use peertrack::window::{WindowBatch, WindowBuffer, WindowEvent};
-use peertrack::world::Anomalies;
 use qcache::LocateCache;
 use simnet::metrics::{Metrics, MsgClass};
 use simnet::SimTime;
@@ -292,8 +290,10 @@ pub struct Core {
     pub(crate) ring: Ring,
     pub(crate) lp: usize,
     pub(crate) window: WindowBuffer,
-    pub(crate) iop: IopStore,
-    pub(crate) gateway: GatewayStore,
+    /// This site's protocol state: repository, gateway shards and
+    /// replica copies, advanced by the shared [`peertrack::site`]
+    /// transitions.
+    pub(crate) proto: Site,
     pub(crate) hosted: HashSet<Prefix>,
     pub(crate) metrics: Metrics,
     pub(crate) next_seq: u64,
@@ -308,6 +308,9 @@ pub struct Core {
     pub(crate) unsupported: u64,
     /// Messages produced by the last `apply_record`, awaiting delivery.
     pub(crate) outbox: Vec<Outbound>,
+    /// Pending site effects, executed depth-first by [`Core::step`];
+    /// empty between records.
+    pub(crate) effects: Vec<Effect>,
     /// Replication factor `K` (config, not logged state — it must match
     /// across the cluster and across restarts, like `seed`). `1`
     /// disables every replication path below.
@@ -316,12 +319,6 @@ pub struct Core {
     /// rejoin, and IOP updates aimed at them are redirected to their
     /// replica holders.
     pub(crate) dead: std::collections::BTreeSet<SiteId>,
-    /// This node's replica copies of other primaries' IOP repositories,
-    /// keyed by primary. Sorted iteration keeps the state encoding
-    /// canonical.
-    pub(crate) replica_iop: BTreeMap<SiteId, IopStore>,
-    /// This node's replica copies of other primaries' gateway stores.
-    pub(crate) replica_gateway: BTreeMap<SiteId, GatewayStore>,
 }
 
 impl Core {
@@ -337,8 +334,7 @@ impl Core {
             ring: Ring::new(),
             lp: group.l_min,
             window: WindowBuffer::new(site, group.n_max),
-            iop: IopStore::new(),
-            gateway: GatewayStore::new(),
+            proto: Site::new(site),
             hosted: HashSet::new(),
             metrics: Metrics::new(),
             next_seq: 1,
@@ -348,10 +344,9 @@ impl Core {
             anomalies: Anomalies::default(),
             unsupported: 0,
             outbox: Vec::new(),
+            effects: Vec::new(),
             replicas: 1,
             dead: std::collections::BTreeSet::new(),
-            replica_iop: BTreeMap::new(),
-            replica_gateway: BTreeMap::new(),
         };
         c.rebuild_ring();
         c
@@ -432,7 +427,8 @@ impl Core {
     }
 
     // ------------------------------------------------------------------
-    // Protocol plane (ported from `NetWorld::handle`)
+    // Protocol plane: the shared `peertrack::site` transitions, with
+    // sends queued on the outbox and routing on the local ring replica
     // ------------------------------------------------------------------
 
     fn on_protocol(&mut self, sender: SiteId, wire: &Wire) {
@@ -441,125 +437,78 @@ impl Core {
             self.anomalies.duplicates_suppressed += 1;
             return;
         }
-        self.handle_msg(sender, wire.msg.clone());
+        self.deliver(sender, wire.msg.clone());
     }
 
-    fn handle_msg(&mut self, sender: SiteId, msg: Msg) {
-        match msg {
-            Msg::SetTo { updates } => {
-                let mut touched = Vec::with_capacity(updates.len());
-                for (o, arrived, link) in updates {
-                    if self.iop.set_to(o, arrived, link) {
-                        touched.push((o, arrived));
-                    } else {
-                        self.anomalies.dangling_iop_updates += 1;
-                    }
+    /// Hand one message to the site. Individual mode, triangle
+    /// delegation and split/merge migration are simulator-only paths,
+    /// and acks belong to a retry layer the daemon does not run:
+    /// receiving one is counted as unsupported and not applied.
+    fn deliver(&mut self, sender: SiteId, msg: Msg) {
+        let indexed = match &msg {
+            Msg::Arrival { .. } | Msg::Delegate { .. } | Msg::Migrate { .. } | Msg::Ack { .. } => {
+                self.unsupported += 1;
+                return;
+            }
+            Msg::GroupIndex { prefix, members, .. } => {
+                let missing = self.proto.unindexed(*prefix, members);
+                if !missing.is_empty() {
+                    let under = |c: Prefix| missing.iter().any(|o| c.matches(&o.id()));
+                    self.count_hosted_neighbours(*prefix, under);
                 }
-                self.replicate_iop(&touched);
+                Some(*prefix)
             }
-            Msg::SetFrom { updates } => {
-                let mut touched = Vec::with_capacity(updates.len());
-                for (o, arrived, link) in updates {
-                    if self.iop.set_from(o, arrived, link) {
-                        touched.push((o, arrived));
-                    } else {
-                        self.anomalies.dangling_iop_updates += 1;
-                    }
-                }
-                self.replicate_iop(&touched);
-            }
-            Msg::GroupIndex { prefix, site, members } => {
-                self.handle_group_index(prefix, site, members);
-            }
-            // Individual mode, triangle delegation and split/merge
-            // migration are simulator-only paths (they never trigger in
-            // the stable-`Lp`, under-threshold regime the daemon
-            // supports); receiving one means the regime was violated.
-            Msg::Arrival { .. } | Msg::Delegate { .. } | Msg::Migrate { .. } => {
+            _ => None,
+        };
+        self.step(|s, rules, out| s.handle(sender, msg, rules, out));
+        // The daemon never delegates (Fig. 5 `update_index` lines 2–4):
+        // an oversize shard keeps indexing, and the crossing is counted.
+        if let (Some(p), Some(threshold)) = (indexed, self.group.delegate_threshold) {
+            if p.len() < ids::prefix::MAX_PREFIX_BITS
+                && self.proto.gateway.shard_mut(p).len() > threshold
+            {
                 self.unsupported += 1;
             }
-            Msg::Ack { .. } => self.unsupported += 1,
-            // ---------------------------------------------- replication
-            // (mirrors `NetWorld::handle`'s Repl* arms)
-            Msg::ReplIop { primary, updates } => {
-                let store = self.replica_iop.entry(primary).or_default();
-                for (o, rec) in updates {
-                    store.upsert_record(o, rec);
-                }
-            }
-            Msg::ReplShard { primary, prefix, entries, delegated } => {
-                let gw = self.replica_gateway.entry(primary).or_default();
-                match prefix {
-                    Some(p) => {
-                        if entries.is_empty() && !delegated {
-                            gw.prefixes.remove(&p);
-                        } else {
-                            let shard = gw.shard_mut(p);
-                            *shard = PrefixIndex::new();
-                            shard.delegated = delegated;
-                            for (o, e) in entries {
-                                shard.upsert(o, e);
-                            }
-                        }
-                    }
-                    None => {
-                        gw.objects = entries.into_iter().collect();
+        }
+    }
+
+    /// Run one site transition and execute its effects in emission
+    /// order, depth-first: a self-send is handled (and its own effects
+    /// executed) before the next effect, as in the simulator.
+    fn step(&mut self, transition: impl FnOnce(&mut Site, Rules, &mut Vec<Effect>)) {
+        let base = self.effects.len();
+        let rules = Rules { replicated: self.replicas > 1, delegation: None };
+        transition(&mut self.proto, rules, &mut self.effects);
+        self.effects[base..].reverse();
+        while self.effects.len() > base {
+            match self.effects.pop().expect("above base") {
+                Effect::Send { to, hops, msg } => self.dispatch(to, hops, msg),
+                Effect::Route { key, msg } => self.route(key, msg),
+                Effect::Replicate(msg) => {
+                    for h in self.replica_peer_sites() {
+                        self.dispatch(h, 1, msg.clone());
                     }
                 }
-            }
-            Msg::ReplDigest { primary, digest } => {
-                if Id::hash(&self.replica_state_bytes(primary)) != digest {
-                    self.dispatch(sender, 1, Msg::ReplSyncReq { primary });
+                // The locate cache is engine-side and revalidates hits.
+                Effect::Moved(_) => {}
+                Effect::Hosted(p) => {
+                    self.hosted.insert(p);
                 }
-            }
-            Msg::ReplSyncReq { primary } => {
-                debug_assert_eq!(primary, self.site, "sync request misrouted");
-                let state = self.store_state_bytes();
-                self.dispatch(sender, 1, Msg::ReplState { primary, state });
-            }
-            Msg::ReplState { primary, state } => {
+                Effect::Anomaly(a) => self.anomalies.count(a),
                 // Network data: a malformed state is counted, not fatal.
-                let mut bytes = peertrack::bytebuf::Bytes::from(state);
-                match (
-                    peertrack::codec::get_state_iop(&mut bytes),
-                    peertrack::codec::get_state_gateway(&mut bytes),
-                ) {
-                    (Ok(iop), Ok(gw)) => {
-                        self.replica_iop.insert(primary, iop);
-                        self.replica_gateway.insert(primary, gw);
-                    }
-                    _ => self.unsupported += 1,
-                }
-            }
-            Msg::ReplIopPatch { primary, set_to, set_from } => {
-                let store = self.replica_iop.entry(primary).or_default();
-                for (o, arrived, link) in set_to {
-                    let mut rec = store
-                        .record_at(o, arrived)
-                        .copied()
-                        .unwrap_or(IopRecord { arrived, from: None, to: None });
-                    rec.to = Some(link);
-                    store.upsert_record(o, rec);
-                }
-                for (o, arrived, from_link) in set_from {
-                    let mut rec = store
-                        .record_at(o, arrived)
-                        .copied()
-                        .unwrap_or(IopRecord { arrived, from: None, to: None });
-                    rec.from = from_link;
-                    store.upsert_record(o, rec);
-                }
+                Effect::Malformed => self.unsupported += 1,
             }
         }
     }
 
     /// Deliver a protocol message: self-sends are handled inline and
     /// uncharged; networked sends are sequenced, charged the model cost
-    /// and counted sent — both exactly as `NetWorld::dispatch` — then
-    /// queued on the outbox for the engine (live) or dropped (replay).
+    /// and counted sent — both exactly as the simulator's dispatch —
+    /// then queued on the outbox for the engine (live) or dropped
+    /// (replay).
     fn dispatch(&mut self, to: SiteId, hops: u32, msg: Msg) {
         if to == self.site {
-            self.handle_msg(self.site, msg);
+            self.deliver(self.site, msg);
             return;
         }
         // An IOP update aimed at a permanently failed site is repaired
@@ -585,107 +534,54 @@ impl Core {
         self.outbox.push(Outbound { to, hops, wire: Wire { seq, msg } });
     }
 
-    /// Ported `NetWorld::handle_group_index` (the Fig. 5 `index`
-    /// algorithm) against this node's local shard slice.
-    fn handle_group_index(
-        &mut self,
-        prefix: Prefix,
-        site: SiteId,
-        members: Vec<(ObjectId, SimTime)>,
-    ) {
-        let unknown: Vec<ObjectId> = {
-            let shard = self.gateway.shard_mut(prefix);
-            members.iter().map(|&(o, _)| o).filter(|o| shard.get(o).is_none()).collect()
+    /// Send `msg` to the owner of `key`. The owner and hop count come
+    /// from the *local* replica — identical, on a converged membership,
+    /// to what the networked iterative lookup would return, and usable
+    /// during replay where no peer exists to ask.
+    fn route(&mut self, key: Id, msg: Msg) {
+        let Ok(r) = self.ring.lookup(self.my_chord_id(), key) else {
+            self.unsupported += 1;
+            return;
         };
-        if !unknown.is_empty() {
-            let missing: HashSet<ObjectId> = unknown.into_iter().collect();
-            self.check_refresh_unneeded(prefix, &missing);
-        }
-
-        let mut m2: BTreeMap<SiteId, Vec<(ObjectId, SimTime, Link)>> = BTreeMap::new();
-        let mut m3: Vec<(ObjectId, SimTime, Option<Link>)> = Vec::with_capacity(members.len());
-        {
-            let shard = self.gateway.shard_mut(prefix);
-            for &(o, t) in &members {
-                let prev = shard.get(&o).copied();
-                if let Some(p) = prev {
-                    if p.time > t {
-                        self.anomalies.out_of_order_arrivals += 1;
-                        continue;
-                    }
-                }
-                shard.upsert(o, IndexEntry { site, time: t, prev: prev.map(|p| p.link()) });
-                let new_link = Link { site, time: t };
-                if let Some(p) = prev {
-                    m2.entry(p.site).or_default().push((o, p.time, new_link));
-                }
-                m3.push((o, t, prev.map(|p| p.link())));
-            }
-        }
-        self.hosted.insert(prefix);
-
-        for (dest, updates) in m2 {
-            self.dispatch(dest, 1, Msg::SetTo { updates });
-        }
-        if !m3.is_empty() {
-            self.dispatch(site, 1, Msg::SetFrom { updates: m3 });
-        }
-        self.maybe_delegate(prefix);
-        self.replicate_shard(prefix);
+        let owner = self.site_of_chord(&r.owner);
+        self.dispatch(owner, r.hops as u32, msg);
     }
 
-    /// The Fig. 5 refresh walk, reduced to its in-regime form: with a
-    /// stable `Lp` at `Lmin`, no delegation and no split/merge, the
-    /// ascent never iterates and no descent child is ever hosted, so
-    /// every probe is a free existence check (the simulator charges
-    /// nothing either, `count_existence_checks = false`). If a probe
-    /// *would* find a hosted prefix, a real entry-moving fetch RPC would
-    /// be required — the daemon doesn't implement it, and counts the
-    /// situation instead so parity tests fail loudly rather than drift.
-    fn check_refresh_unneeded(&mut self, prefix: Prefix, missing: &HashSet<ObjectId>) {
-        let mut l = prefix.len();
-        while l > self.group.l_min {
-            l -= 1;
-            if self.hosted.contains(&prefix.truncate(l)) {
+    /// The Fig. 5 refresh walk and the §IV-A.3 gateway search around
+    /// prefix `p`, reduced to their in-regime form: with a stable `Lp`
+    /// at `Lmin`, no delegation and no split/merge, no ancestor of `p`
+    /// and no child of it that could hold the objects in question
+    /// (`relevant`) is ever hosted, so every probe is a free existence
+    /// check (the simulator charges nothing either,
+    /// `count_existence_checks = false`). A probe that *would* find a
+    /// hosted prefix needs an entry-moving fetch or a routed lookup the
+    /// daemon does not implement: it is counted as unsupported instead,
+    /// so parity tests fail loudly rather than drift.
+    pub(crate) fn count_hosted_neighbours(
+        &mut self,
+        p: Prefix,
+        relevant: impl Fn(Prefix) -> bool,
+    ) {
+        for l in self.group.l_min..p.len() {
+            if self.hosted.contains(&p.truncate(l)) {
                 self.unsupported += 1;
             }
         }
-        if prefix.len() < ids::prefix::MAX_PREFIX_BITS {
-            for one in [false, true] {
-                let child = prefix.child(one);
-                if missing.iter().any(|o| child.matches(&o.id()))
-                    && self.hosted.contains(&child)
-                {
+        if p.len() < ids::prefix::MAX_PREFIX_BITS {
+            for child in [p.child(false), p.child(true)] {
+                if relevant(child) && self.hosted.contains(&child) {
                     self.unsupported += 1;
                 }
             }
         }
     }
 
-    /// Delegation threshold check (Fig. 5 `update_index` lines 2–4).
-    /// Crossing it off-sim is unsupported — counted, not silently
-    /// skipped.
-    fn maybe_delegate(&mut self, prefix: Prefix) {
-        let Some(threshold) = self.group.delegate_threshold else { return };
-        if prefix.len() >= ids::prefix::MAX_PREFIX_BITS {
-            return;
-        }
-        if self.gateway.shard_mut(prefix).len() > threshold {
-            self.unsupported += 1;
-        }
-    }
-
     // ------------------------------------------------------------------
-    // Capture path (ported from `NetWorld::capture_now` / `index_batch`)
+    // Capture path: the window closes on explicit flushes
     // ------------------------------------------------------------------
 
     fn on_capture(&mut self, at: SimTime, objects: &[ObjectId]) {
-        for &o in objects {
-            self.iop.capture(o, at);
-        }
-        let capture_keys: Vec<(ObjectId, SimTime)> =
-            objects.iter().map(|&o| (o, at)).collect();
-        self.replicate_iop(&capture_keys);
+        self.step(|s, rules, out| s.capture(objects, at, rules, out));
         for &o in objects {
             match self.window.push(o, at) {
                 // Timers are the driver's job off-sim (explicit Flush).
@@ -703,142 +599,42 @@ impl Core {
             // this primary's stores so a replica that missed a fan-out
             // frame pulls the full state ([`Msg::ReplSyncReq`]).
             if self.replicas > 1 {
-                let digest = Id::hash(&self.store_state_bytes());
-                let primary = self.site;
+                let digest = self.proto.digest_msg();
                 for h in self.replica_peer_sites() {
-                    self.dispatch(h, 1, Msg::ReplDigest { primary, digest });
+                    self.dispatch(h, 1, digest.clone());
                 }
             }
         }
     }
 
-    /// Route each group to its gateway. The owner and hop count come
-    /// from the *local* replica — identical, on a converged membership,
-    /// to what the networked iterative lookup would return, and usable
-    /// during replay where no peer exists to ask.
+    /// Route each group to its gateway.
     fn index_batch(&mut self, batch: WindowBatch) {
-        let me = self.my_chord_id();
         for group in group_batch(&batch.observations, self.lp) {
-            let key = group.prefix.gateway_id();
-            let Ok(r) = self.ring.lookup(me, key) else {
-                self.unsupported += 1;
-                continue;
-            };
-            let owner = self.site_of_chord(&r.owner);
             let msg =
                 Msg::GroupIndex { prefix: group.prefix, site: self.site, members: group.members };
-            self.dispatch(owner, r.hops as u32, msg);
+            self.route(group.prefix.gateway_id(), msg);
         }
     }
 
     // ------------------------------------------------------------------
-    // K-successor replication (ported from `NetWorld`'s replication
-    // engine; DESIGN.md §13). Every entry point below no-ops when
-    // `replicas <= 1`, so the default path sends nothing and the state
-    // encoding stays byte-identical to the pre-replication node.
+    // K-successor replication placement (DESIGN.md §13). Every entry
+    // point below no-ops when `replicas <= 1`, so the default path sends
+    // nothing and the state encoding stays byte-identical to the
+    // pre-replication node.
     // ------------------------------------------------------------------
 
     /// This site's replica set: its K−1 live ring successors, in ring
     /// order. Empty when replication is off.
     fn replica_peer_sites(&self) -> Vec<SiteId> {
-        if self.replicas <= 1 {
-            return Vec::new();
-        }
-        // `successors_of` of a member id starts with the member itself.
-        self.ring
-            .successors_of(&self.my_chord_id(), self.replicas)
-            .into_iter()
-            .skip(1)
-            .filter_map(|id| self.ring.app_index_of(&id))
-            .map(|i| SiteId(i as u32))
-            .filter(|&s| s != self.site)
-            .collect()
+        site::replica_holders(&self.ring, &self.my_chord_id(), self.replicas)
     }
 
-    /// The holders of a **dead** site's replica copies: the first K−1
-    /// nodes clockwise from its ring id, on the post-removal ring —
-    /// exactly its successor set at the moment of death (absent further
-    /// churn). Patches and read probes go only to these; touching a
-    /// non-holder would plant partial records that corrupt trace walks.
+    /// The holders of a **dead** site's replica copies: its successor
+    /// set on the post-removal ring. Patches and read probes go only to
+    /// these; touching a non-holder would plant partial records that
+    /// corrupt trace walks.
     pub(crate) fn holders_of_dead(&self, dead: SiteId) -> Vec<SiteId> {
-        if self.replicas <= 1 {
-            return Vec::new();
-        }
-        let key = chord_id_for(self.seed, dead);
-        self.ring
-            .successors_of(&key, self.replicas - 1)
-            .into_iter()
-            .filter_map(|id| self.ring.app_index_of(&id))
-            .map(|i| SiteId(i as u32))
-            .collect()
-    }
-
-    /// Canonical byte encoding of this site's primary stores (IOP then
-    /// gateway) — the unit digests and full-state sync hash and ship.
-    fn store_state_bytes(&self) -> Vec<u8> {
-        let mut buf = ByteBuf::new();
-        codec::put_state_iop(&mut buf, &self.iop);
-        codec::put_state_gateway(&mut buf, &self.gateway);
-        buf.freeze().as_slice().to_vec()
-    }
-
-    /// Canonical encoding of this node's replica copy of `primary`'s
-    /// stores (empty stores when no copy exists yet).
-    fn replica_state_bytes(&self, primary: SiteId) -> Vec<u8> {
-        let empty_iop = IopStore::new();
-        let empty_gw = GatewayStore::new();
-        let iop = self.replica_iop.get(&primary).unwrap_or(&empty_iop);
-        let gw = self.replica_gateway.get(&primary).unwrap_or(&empty_gw);
-        let mut buf = ByteBuf::new();
-        codec::put_state_iop(&mut buf, iop);
-        codec::put_state_gateway(&mut buf, gw);
-        buf.freeze().as_slice().to_vec()
-    }
-
-    /// Fan one or more IOP record updates out to the replica set.
-    /// `keys` are `(object, arrival time)` record keys; the full
-    /// records are read back from the primary store so replicas always
-    /// receive the post-update state.
-    fn replicate_iop(&mut self, keys: &[(ObjectId, SimTime)]) {
-        if self.replicas <= 1 || keys.is_empty() {
-            return;
-        }
-        let updates: Vec<(ObjectId, IopRecord)> = keys
-            .iter()
-            .filter_map(|&(o, t)| self.iop.record_at(o, t).map(|r| (o, *r)))
-            .collect();
-        if updates.is_empty() {
-            return;
-        }
-        let primary = self.site;
-        for h in self.replica_peer_sites() {
-            self.dispatch(h, 1, Msg::ReplIop { primary, updates: updates.clone() });
-        }
-    }
-
-    /// Ship the full current content of one gateway shard to the
-    /// replica set. Full-shard replace semantics let removals propagate
-    /// without tombstones: an empty shard drops the replica copy.
-    fn replicate_shard(&mut self, prefix: Prefix) {
-        if self.replicas <= 1 {
-            return;
-        }
-        let (mut entries, delegated): (Vec<(ObjectId, IndexEntry)>, bool) =
-            match self.gateway.prefixes.get(&prefix) {
-                Some(shard) => {
-                    (shard.entries.iter().map(|(o, e)| (*o, *e)).collect(), shard.delegated)
-                }
-                None => (Vec::new(), false),
-            };
-        // Sorted: message contents feed the canonical encoding at the
-        // replica and must be hasher-independent.
-        entries.sort_by_key(|(o, _)| *o);
-        let primary = self.site;
-        for h in self.replica_peer_sites() {
-            let msg =
-                Msg::ReplShard { primary, prefix: Some(prefix), entries: entries.clone(), delegated };
-            self.dispatch(h, 1, msg);
-        }
+        site::replica_holders(&self.ring, &chord_id_for(self.seed, dead), self.replicas)
     }
 
     /// Redirect an M2/M3 IOP update whose destination is permanently
@@ -851,18 +647,9 @@ impl Core {
             self.anomalies.dropped_to_dead += 1;
             return;
         }
-        let (set_to, set_from) = match msg {
-            Msg::SetTo { updates } => (updates, Vec::new()),
-            Msg::SetFrom { updates } => (Vec::new(), updates),
-            other => unreachable!("only IOP updates are redirected, got {other:?}"),
-        };
+        let patch = site::patch_for_replicas(dead, msg);
         for h in holders {
-            let patch = Msg::ReplIopPatch {
-                primary: dead,
-                set_to: set_to.clone(),
-                set_from: set_from.clone(),
-            };
-            self.dispatch(h, 1, patch);
+            self.dispatch(h, 1, patch.clone());
         }
     }
 
@@ -884,46 +671,12 @@ impl Core {
         }
         let dead_chord = chord_id_for(self.seed, site);
         if self.ring.successor_of(&dead_chord) == Some(self.my_chord_id()) {
-            self.promote_dead_primary(site);
+            if let Some(gw) = self.proto.replica_gateway.remove(&site) {
+                self.step(|s, _, out| s.absorb_gateway(gw, out));
+            }
         }
-        self.replica_gateway.remove(&site);
+        self.proto.replica_gateway.remove(&site);
         self.replica_maintenance();
-    }
-
-    /// Failover merge at the heir (mirrors the simulator's
-    /// `promote_dead_primary`): fold the replica copy of the dead
-    /// site's *gateway* stores into this node's primary stores, keeping
-    /// whichever entry is newer where both exist.
-    fn promote_dead_primary(&mut self, dead: SiteId) {
-        let Some(gw) = self.replica_gateway.remove(&dead) else { return };
-        let mut objs: Vec<(ObjectId, IndexEntry)> = gw.objects.into_iter().collect();
-        objs.sort_by_key(|(o, _)| *o);
-        for (o, e) in objs {
-            match self.gateway.objects.get(&o) {
-                // A racing index update here already holds a newer
-                // visit — keep it.
-                Some(ex) if ex.time >= e.time => {}
-                _ => {
-                    self.gateway.objects.insert(o, e);
-                }
-            }
-        }
-        let mut prefixes: Vec<(Prefix, PrefixIndex)> = gw.prefixes.into_iter().collect();
-        prefixes.sort_by_key(|(p, _)| *p);
-        for (p, shard) in prefixes {
-            let mut es: Vec<(ObjectId, IndexEntry)> =
-                shard.entries.iter().map(|(o, e)| (*o, *e)).collect();
-            es.sort_by_key(|(o, _)| *o);
-            let dst = self.gateway.shard_mut(p);
-            dst.delegated |= shard.delegated;
-            for (o, e) in es {
-                match dst.get(&o) {
-                    Some(ex) if ex.time >= e.time => {}
-                    _ => dst.upsert(o, e),
-                }
-            }
-            self.hosted.insert(p);
-        }
     }
 
     /// Re-establish the placement invariant after a membership change:
@@ -934,29 +687,22 @@ impl Core {
         if self.replicas <= 1 {
             return;
         }
-        let held: Vec<SiteId> = self
-            .replica_iop
-            .keys()
-            .chain(self.replica_gateway.keys())
-            .copied()
-            .collect::<std::collections::BTreeSet<_>>()
-            .into_iter()
-            .collect();
+        let copies = self.proto.replica_iop.keys().chain(self.proto.replica_gateway.keys());
+        let held: std::collections::BTreeSet<SiteId> = copies.copied().collect();
         for primary in held {
             if self.dead.contains(&primary) || !self.members.contains_key(&primary) {
                 continue;
             }
-            let holder_chain = self.ring.successors_of(&chord_id_for(self.seed, primary), self.replicas);
-            let me = self.my_chord_id();
-            if !holder_chain.iter().skip(1).any(|id| *id == me) {
-                self.replica_iop.remove(&primary);
-                self.replica_gateway.remove(&primary);
+            let holders =
+                site::replica_holders(&self.ring, &chord_id_for(self.seed, primary), self.replicas);
+            if !holders.contains(&self.site) {
+                self.proto.replica_iop.remove(&primary);
+                self.proto.replica_gateway.remove(&primary);
             }
         }
-        let state = self.store_state_bytes();
-        let primary = self.site;
+        let state = self.proto.state_msg();
         for h in self.replica_peer_sites() {
-            self.dispatch(h, 1, Msg::ReplState { primary, state: state.clone() });
+            self.dispatch(h, 1, state.clone());
         }
     }
 }
@@ -1670,7 +1416,7 @@ impl Engine {
     /// requests and this node's own reads (see [`Engine::read`]) both
     /// come here, so a read means the same thing wherever it runs.
     fn answer_read(&mut self, req: &Frame) -> Frame {
-        let iop = &self.core.iop;
+        let iop = &self.core.proto.iop;
         match *req {
             Frame::LookupStep { key } => {
                 let node = self.core.ring.get(&self.core.my_chord_id()).expect("self in replica");
@@ -1685,7 +1431,7 @@ impl Engine {
             Frame::RecFirst { object } => Frame::RecResp(iop.all(object).first().copied()),
             Frame::RecLatest { object } => Frame::RecResp(iop.latest(object).copied()),
             Frame::ReplRecAt { primary, object, time } => {
-                let copy = self.core.replica_iop.get(&primary);
+                let copy = self.core.proto.replica_iop.get(&primary);
                 Frame::RecResp(copy.and_then(|st| st.record_at(object, time)).copied())
             }
             _ => unreachable!("not a read request: {req:?}"),
@@ -1811,27 +1557,13 @@ impl Engine {
     }
 
     /// §IV-A.3 lookup at this gateway, reduced to the in-regime form:
-    /// current-`Lp` shard only. A miss with hosted neighbours (never in
-    /// regime) would need further routed probes — counted as
-    /// unsupported, mirroring [`Core::check_refresh_unneeded`].
+    /// current-`Lp` shard only (see [`Core::count_hosted_neighbours`]).
     fn local_gateway_probe(&mut self, object: ObjectId) -> Option<Link> {
         let p = Prefix::of_id(&object.id(), self.core.lp);
-        if let Some(e) = self.core.gateway.prefixes.get(&p).and_then(|s| s.get(&object)) {
+        if let Some(e) = self.core.proto.gateway.prefixes.get(&p).and_then(|s| s.get(&object)) {
             return Some(e.link());
         }
-        let mut l = p.len();
-        while l > self.core.group.l_min {
-            l -= 1;
-            if self.core.hosted.contains(&p.truncate(l)) {
-                self.core.unsupported += 1;
-            }
-        }
-        if p.len() < ids::prefix::MAX_PREFIX_BITS {
-            let child = p.child(object.id().bit(p.len()));
-            if self.core.hosted.contains(&child) {
-                self.core.unsupported += 1;
-            }
-        }
+        self.core.count_hosted_neighbours(p, |c| c.matches(&object.id()));
         None
     }
 

@@ -59,6 +59,7 @@ pub mod messages;
 pub mod net;
 pub mod prefix;
 pub mod query;
+pub mod site;
 pub mod spans;
 pub mod store;
 pub mod triangle;

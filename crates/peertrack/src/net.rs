@@ -735,7 +735,7 @@ impl TraceableNetwork {
         );
         // Failover before the Lp refresh: the heir must serve the dead
         // site's ranges as primary data when split/merge re-levels.
-        self.world.promote_dead_primary(idx);
+        self.world.promote_dead_primary(&mut self.sim, idx);
         self.world.refresh_lp(&mut self.sim);
         self.world.invalidate_gateway_caches();
         self.run_until_quiescent();

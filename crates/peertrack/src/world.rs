@@ -1,39 +1,46 @@
-//! The protocol engine: per-site state plus every message handler.
+//! The simulator driver: every site's state inside one discrete-event
+//! world.
 //!
-//! [`NetWorld`] owns all distributed state — the Chord ring, each site's
-//! window buffer, IOP repository and gateway shards — and implements
-//! [`simnet::World`] so the discrete-event engine can drive it. The
-//! structure mirrors §III/§IV exactly:
+//! [`NetWorld`] owns all distributed state — the Chord ring and, per
+//! site, the window buffer, timers and caches around a
+//! [`crate::site::Site`] — and implements [`simnet::World`] so the
+//! discrete-event engine can drive it. The protocol transitions
+//! themselves (M2/M3 threading, the Fig. 5 `index`/`update_index`
+//! algorithm, handoff merges, the replication arms) live in
+//! [`crate::site`]; this module runs them and executes their effects:
 //!
 //! * a capture appends an open IOP record locally, then either reports
 //!   the arrival individually (**M1**) or buffers it in the adaptive
-//!   window (§IV-A.1);
-//! * a gateway receiving an arrival/group batch updates its index and
-//!   threads the IOP links with **M2**/**M3** (batched per source site
-//!   in group mode);
+//!   window (§IV-A.1), whose `Tmax` is a simulator timer;
+//! * delivery is sequenced, deduplicated and — with the retry layer —
+//!   acked and retransmitted, with trace spans per message;
+//! * routing is `route_traced` over the global ring plus the §IV-A.2
+//!   gateway address cache;
 //! * unknown objects trigger the Fig. 5 `refresh_from_ascent` /
-//!   `refresh_from_descent` fetches (charged as `Refresh` traffic;
-//!   executed as zero-latency RPCs — the figures measure message
-//!   volume, not indexing latency, see DESIGN.md);
-//! * overfull shards delegate their earliest `α·count` records to the
-//!   two Data-Triangle children (Fig. 5 `update_index`);
+//!   `refresh_from_descent` fetches before the gateway indexes a batch
+//!   (charged as `Refresh` traffic; executed as zero-latency RPCs — the
+//!   figures measure message volume, not indexing latency, see
+//!   DESIGN.md);
 //! * changes of `Lp` run the splitting–merging process (§IV-A.2) when
-//!   `eager_split_merge` is set.
+//!   `eager_split_merge` is set, and churn migrates key ranges;
+//! * replication anti-entropy runs on a one-shot timer after writes.
 
-use crate::bytebuf::{ByteBuf, Bytes};
-use crate::codec;
 use crate::config::{Config, GroupConfig, IndexingMode, SizeEstimation};
 use crate::grouping::group_batch;
 use crate::messages::{Msg, Wire, ENTRY_BYTES, HEADER_BYTES, OBJECT_ID_BYTES, PREFIX_BYTES};
+use crate::query::{self, QueryCost};
+use crate::site::{self, Effect, Rules, Site};
 use crate::spans;
-use crate::store::{GatewayStore, IndexEntry, IopRecord, IopStore, Link, PrefixIndex};
+use crate::store::{IndexEntry, IopRecord, Link};
 use crate::window::{WindowBatch, WindowBuffer, WindowEvent};
 use chord::Ring;
 use ids::{Id, Prefix};
 use moods::{ObjectId, SiteId};
 use qcache::{CacheStats, EpochTable, LocateCache};
 use simnet::{MsgClass, NodeIndex, Sim, SimTime, TimerId, World};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
+
+pub use crate::site::Anomalies;
 
 /// Timer-kind tags (high byte of the `u64` timer kind).
 const TAG_SHIFT: u32 = 56;
@@ -54,9 +61,13 @@ fn timer_kind(tag: u64, value: u64) -> u64 {
 }
 
 /// One organization's full state.
+///
+/// A `SiteState` is the site's protocol [`Site`] (repository, gateway
+/// shards, replica copies) plus the simulator-side state around it, and
+/// dereferences to the `Site`.
 pub struct SiteState {
-    /// Application-level identity.
-    pub site: SiteId,
+    /// The site's protocol state.
+    pub proto: Site,
     /// Ring identity (SHA-1 of the site's external address).
     pub chord_id: Id,
     /// False once the site has left the network.
@@ -65,10 +76,6 @@ pub struct SiteState {
     pub window: WindowBuffer,
     /// Pending `Tmax` timer for the open window, if any.
     window_timer: Option<TimerId>,
-    /// Local repository (IOP records).
-    pub iop: IopStore,
-    /// Index shards this site hosts as a gateway.
-    pub gateway: GatewayStore,
     /// Cached gateway locations per prefix (§IV-A.2 address caching):
     /// owner site index at the time of first contact.
     gateway_cache: HashMap<Prefix, usize>,
@@ -77,14 +84,6 @@ pub struct SiteState {
     /// IOP upserts are not idempotent, so at-least-once delivery plus
     /// this filter gives exactly-once processing.
     seen_seqs: HashSet<u64>,
-    /// Replica copies of other primaries' IOP repositories, keyed by
-    /// the primary's site id. Held only when `Config.replication` puts
-    /// this site in the primary's successor set; kept separate from the
-    /// primary stores so index-placement invariants keep holding on the
-    /// primary copies alone.
-    pub replica_iop: HashMap<SiteId, IopStore>,
-    /// Replica copies of other primaries' gateway stores, same keying.
-    pub replica_gateway: HashMap<SiteId, GatewayStore>,
     /// Pending one-shot anti-entropy timer, if a write armed one.
     antientropy_timer: Option<TimerId>,
     /// Locate-answer cache (DESIGN.md §15), allocated only when
@@ -96,28 +95,6 @@ pub struct SiteState {
     /// bookkeeping: counting never touches RNG, metrics or dispatch,
     /// so it is always on.
     pub(crate) query_load: u64,
-}
-
-/// Counters for conditions that should not occur in well-formed runs.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct Anomalies {
-    /// Gateway saw an arrival older than the indexed latest state
-    /// (message reordering faster than the movement cadence).
-    pub out_of_order_arrivals: u64,
-    /// IOP update targeting a record the site does not hold (e.g. the
-    /// site re-joined after data loss).
-    pub dangling_iop_updates: u64,
-    /// Messages dropped because the destination site had left.
-    pub dropped_to_dead: u64,
-    /// Deliveries that exhausted every retry attempt without an ack.
-    pub retries_exhausted: u64,
-    /// Duplicate deliveries (retransmission or fault-plane duplication)
-    /// suppressed by the receiver's sequence filter.
-    pub duplicates_suppressed: u64,
-    /// Refresh RPCs abandoned because every attempt was lost (the
-    /// entries stay at the remote shard; the index is stale until the
-    /// next refresh).
-    pub refresh_failures: u64,
 }
 
 /// The distributed system: ring + every site's state.
@@ -157,6 +134,9 @@ pub struct NetWorld {
     /// (base matrix only, never jitter — queries stay RNG-free);
     /// `None`, or a zero topology, adds nothing.
     pub geo: Option<geo::Topology>,
+    /// Pending site effects, executed depth-first (see [`Self::step`]);
+    /// empty between events.
+    effects: Vec<Effect>,
 }
 
 /// A sequenced send the retry layer may have to retransmit.
@@ -168,6 +148,19 @@ struct PendingSend {
     /// Delivery attempts made so far (first send included).
     attempts: u32,
     timer: TimerId,
+}
+
+impl std::ops::Deref for SiteState {
+    type Target = Site;
+    fn deref(&self) -> &Site {
+        &self.proto
+    }
+}
+
+impl std::ops::DerefMut for SiteState {
+    fn deref_mut(&mut self) -> &mut Site {
+        &mut self.proto
+    }
 }
 
 impl NetWorld {
@@ -192,6 +185,7 @@ impl NetWorld {
             pending_spans: HashMap::new(),
             epochs: EpochTable::new(),
             geo: None,
+            effects: Vec::new(),
         }
     }
 
@@ -221,17 +215,13 @@ impl NetWorld {
     pub(crate) fn push_site(&mut self, chord_id: Id, n_max: usize) -> SiteId {
         let site = SiteId(self.sites.len() as u32);
         self.sites.push(SiteState {
-            site,
+            proto: Site::new(site),
             chord_id,
             alive: true,
             window: WindowBuffer::new(site, n_max),
             window_timer: None,
-            iop: IopStore::new(),
-            gateway: GatewayStore::new(),
             gateway_cache: HashMap::new(),
             seen_seqs: HashSet::new(),
-            replica_iop: HashMap::new(),
-            replica_gateway: HashMap::new(),
             antientropy_timer: None,
             locate_cache: self.config.locate_cache.map(LocateCache::new),
             query_load: 0,
@@ -283,12 +273,7 @@ impl NetWorld {
         let idx = self.site_idx(site);
         assert!(self.sites[idx].alive, "capture at a departed site {site}");
         let now = sim.now();
-        for &o in objects {
-            self.sites[idx].iop.capture(o, now);
-        }
-        let capture_keys: Vec<(ObjectId, SimTime)> =
-            objects.iter().map(|&o| (o, now)).collect();
-        self.replicate_iop(sim, idx, &capture_keys);
+        self.step(sim, idx, |s, rules, out| s.capture(objects, now, rules, out));
         let tracing = sim.tracing();
         match self.config.mode {
             IndexingMode::Individual => {
@@ -524,128 +509,67 @@ impl NetWorld {
                 }
             }
         }
-        match msg {
-            Msg::Arrival { object, site, time } => {
-                self.handle_arrival(sim, to, object, site, time);
-            }
-            Msg::GroupIndex { prefix, site, members } => {
-                self.handle_group_index(sim, to, prefix, site, members);
-            }
-            Msg::SetTo { updates } => {
-                let mut touched = Vec::with_capacity(updates.len());
-                for (o, arrived, link) in updates {
-                    if self.sites[to].iop.set_to(o, arrived, link) {
-                        touched.push((o, arrived));
-                    } else {
-                        self.anomalies.dangling_iop_updates += 1;
-                    }
-                }
-                self.replicate_iop(sim, to, &touched);
-            }
-            Msg::SetFrom { updates } => {
-                let mut touched = Vec::with_capacity(updates.len());
-                for (o, arrived, link) in updates {
-                    if self.sites[to].iop.set_from(o, arrived, link) {
-                        touched.push((o, arrived));
-                    } else {
-                        self.anomalies.dangling_iop_updates += 1;
-                    }
-                }
-                self.replicate_iop(sim, to, &touched);
-            }
-            Msg::Delegate { prefix, entries } => {
-                for (o, e) in entries {
-                    self.merge_entry(sim, to, prefix, o, e);
-                }
-                self.replicate_shard(sim, to, Some(prefix));
-            }
-            Msg::Migrate { prefix, entries } => match prefix {
-                Some(p) => {
-                    for (o, e) in entries {
-                        self.merge_entry(sim, to, p, o, e);
-                    }
-                    self.replicate_shard(sim, to, Some(p));
-                }
-                None => {
-                    for (o, e) in entries {
-                        match self.sites[to].gateway.objects.get(&o).copied() {
-                            Some(ex) if ex.time > e.time => {} // racing update won
-                            Some(ex) if ex.time == e.time && e.prev.is_none() => {}
-                            _ => {
-                                self.sites[to].gateway.objects.insert(o, e);
-                            }
-                        }
-                    }
-                    self.replicate_shard(sim, to, None);
-                }
-            },
-            Msg::Ack { .. } => unreachable!("acks handled before dispatch"),
-            Msg::ReplIop { primary, updates } => {
-                let store = self.sites[to].replica_iop.entry(primary).or_default();
-                for (o, rec) in updates {
-                    store.upsert_record(o, rec);
-                }
-            }
-            Msg::ReplShard { primary, prefix, entries, delegated } => {
-                let gw = self.sites[to].replica_gateway.entry(primary).or_default();
-                match prefix {
-                    Some(p) => {
-                        if entries.is_empty() && !delegated {
-                            gw.prefixes.remove(&p);
-                        } else {
-                            let shard = gw.shard_mut(p);
-                            *shard = PrefixIndex::new();
-                            shard.delegated = delegated;
-                            for (o, e) in entries {
-                                shard.upsert(o, e);
-                            }
-                        }
-                    }
-                    None => {
-                        gw.objects = entries.into_iter().collect();
-                    }
-                }
-            }
-            Msg::ReplDigest { primary, digest } => {
-                let mine = Id::hash(&self.replica_state_bytes(to, primary));
-                if mine != digest {
-                    self.dispatch(sim, to, from, 1, Msg::ReplSyncReq { primary });
-                }
-            }
-            Msg::ReplSyncReq { primary } => {
-                debug_assert_eq!(self.sites[to].site, primary, "sync request misrouted");
-                let state = self.store_state_bytes(to);
-                self.dispatch(sim, to, from, 1, Msg::ReplState { primary, state });
-            }
-            Msg::ReplState { primary, state } => {
-                let mut bytes = Bytes::from(state);
-                let iop = codec::get_state_iop(&mut bytes).expect("well-formed replica state");
-                let gw =
-                    codec::get_state_gateway(&mut bytes).expect("well-formed replica state");
-                self.sites[to].replica_iop.insert(primary, iop);
-                self.sites[to].replica_gateway.insert(primary, gw);
-            }
-            Msg::ReplIopPatch { primary, set_to, set_from } => {
-                let store = self.sites[to].replica_iop.entry(primary).or_default();
-                for (o, arrived, link) in set_to {
-                    let mut rec = store
-                        .record_at(o, arrived)
-                        .copied()
-                        .unwrap_or(IopRecord { arrived, from: None, to: None });
-                    rec.to = Some(link);
-                    store.upsert_record(o, rec);
-                }
-                for (o, arrived, from_link) in set_from {
-                    let mut rec = store
-                        .record_at(o, arrived)
-                        .copied()
-                        .unwrap_or(IopRecord { arrived, from: None, to: None });
-                    rec.from = from_link;
-                    store.upsert_record(o, rec);
-                }
-            }
+        self.deliver(sim, to, from, msg);
+    }
+
+    /// Hand one accepted message to the site at `to`, after the Fig. 5
+    /// refresh fetches a `GroupIndex` needs first.
+    fn deliver(&mut self, sim: &mut Sim<Wire>, to: usize, from: usize, msg: Msg) {
+        if let Msg::GroupIndex { prefix, members, .. } = &msg {
+            self.refresh(sim, to, *prefix, members);
         }
-        let _ = from;
+        let from = self.sites[from].site;
+        self.step(sim, to, |s, rules, out| s.handle(from, msg, rules, out));
+    }
+
+    /// The protocol switches the configuration selects.
+    fn rules(&self) -> Rules {
+        Rules {
+            replicated: self.replication_on(),
+            delegation: self.group_config().and_then(|g| Some((g.delegate_threshold?, g.alpha))),
+        }
+    }
+
+    /// Run one transition of the site at `idx` and execute its effects
+    /// in emission order, depth-first: a self-send is handled (and its
+    /// own effects executed) before the next effect — exactly the order
+    /// of an inline dispatch.
+    fn step(
+        &mut self,
+        sim: &mut Sim<Wire>,
+        idx: usize,
+        transition: impl FnOnce(&mut Site, Rules, &mut Vec<Effect>),
+    ) {
+        let base = self.effects.len();
+        let rules = self.rules();
+        transition(&mut self.sites[idx].proto, rules, &mut self.effects);
+        self.effects[base..].reverse();
+        while self.effects.len() > base {
+            let effect = self.effects.pop().expect("above base");
+            self.apply(sim, idx, effect);
+        }
+    }
+
+    fn apply(&mut self, sim: &mut Sim<Wire>, idx: usize, effect: Effect) {
+        match effect {
+            Effect::Send { to, hops, msg } => self.dispatch(sim, idx, self.site_idx(to), hops, msg),
+            Effect::Route { key, msg } => {
+                let (owner, hops) = self.route_traced(sim, self.sites[idx].site, key);
+                self.dispatch(sim, idx, owner, hops, msg);
+            }
+            Effect::Replicate(msg) => {
+                for h in self.replica_peer_idxs(idx) {
+                    self.dispatch(sim, idx, h, 1, msg.clone());
+                }
+                self.arm_antientropy(sim, idx);
+            }
+            Effect::Moved(o) => self.bump_epoch(o),
+            Effect::Hosted(p) => {
+                self.hosted.insert(p);
+            }
+            Effect::Anomaly(a) => self.anomalies.count(a),
+            Effect::Malformed => unreachable!("simulated primaries ship well-formed state"),
+        }
     }
 
     /// A retry timer fired: retransmit if the delivery is still unacked
@@ -675,207 +599,27 @@ impl NetWorld {
         self.pending_retries.insert(seq, p);
     }
 
-    /// Individual-mode gateway logic (§III, Fig. 2): update the index,
-    /// send M2 to the source and M3 to the destination of the move.
-    fn handle_arrival(
-        &mut self,
-        sim: &mut Sim<Wire>,
-        gw: usize,
-        object: ObjectId,
-        site: SiteId,
-        time: SimTime,
-    ) {
-        let prev = self.sites[gw].gateway.objects.get(&object).copied();
-        if let Some(p) = prev {
-            if p.time > time {
-                self.anomalies.out_of_order_arrivals += 1;
-                return;
-            }
-        }
-        let entry = IndexEntry { site, time, prev: prev.map(|p| p.link()) };
-        self.sites[gw].gateway.objects.insert(object, entry);
-        self.bump_epoch(object);
-        self.replicate_shard(sim, gw, None);
-
-        let new_link = Link { site, time };
-        if let Some(p) = prev {
-            // M2 — direct (the index stores the source's address).
-            let m2 = Msg::SetTo { updates: vec![(object, p.time, new_link)] };
-            self.dispatch(sim, gw, self.site_idx(p.site), 1, m2);
-        }
-        // M3 — direct to the capturing node.
-        let m3 = Msg::SetFrom { updates: vec![(object, time, prev.map(|p| p.link()))] };
-        self.dispatch(sim, gw, self.site_idx(site), 1, m3);
-    }
-
-    /// Group-mode gateway logic — the Fig. 5 `index` algorithm.
-    fn handle_group_index(
+    /// Fig. 5 `index` lines 2–3 at gateway `gw`: fetch — *move* — into
+    /// `prefix`'s shard the index entries of batch members it does not
+    /// know, walking shorter prefixes first (`refresh_from_ascent`:
+    /// nearest ancestor first, down to `Lmin`), then hosted child
+    /// prefixes (`refresh_from_descent`).
+    fn refresh(
         &mut self,
         sim: &mut Sim<Wire>,
         gw: usize,
         prefix: Prefix,
-        site: SiteId,
-        members: Vec<(ObjectId, SimTime)>,
+        members: &[(ObjectId, SimTime)],
     ) {
-        // objects' ← members not indexed locally (Fig. 5 line 2; the
-        // paper's set expression has the operands transposed — the
-        // accompanying comment "objects which are not stored locally"
-        // fixes the intent).
-        let unknown: Vec<ObjectId> = {
-            let shard = self.sites[gw].gateway.shard_mut(prefix);
-            members
-                .iter()
-                .map(|&(o, _)| o)
-                .filter(|o| shard.get(o).is_none())
-                .collect()
-        };
-
-        if !unknown.is_empty() {
-            let mut missing: HashSet<ObjectId> = unknown.into_iter().collect();
-            self.refresh_from_ascent(sim, gw, prefix, &mut missing);
-            if !missing.is_empty() {
-                self.refresh_from_descent(sim, gw, prefix, &mut missing);
+        let mut missing = self.sites[gw].unindexed(prefix, members);
+        let l_min = self.group_config().map_or(prefix.len(), |g| g.l_min);
+        for l in (l_min..prefix.len()).rev() {
+            if missing.is_empty() {
+                break;
             }
+            self.fetch_remote(sim, gw, prefix.truncate(l), prefix, &mut missing);
         }
-
-        // update_index: thread IOP links, batching M2 per source site
-        // and M3 to the capturing site ("one message for each group of
-        // objects which are from the same node").
-        let mut m2: BTreeMap<SiteId, Vec<(ObjectId, SimTime, Link)>> = BTreeMap::new();
-        let mut m3: Vec<(ObjectId, SimTime, Option<Link>)> = Vec::with_capacity(members.len());
-        {
-            let shard = self.sites[gw].gateway.shard_mut(prefix);
-            for &(o, t) in &members {
-                let prev = shard.get(&o).copied();
-                if let Some(p) = prev {
-                    if p.time > t {
-                        self.anomalies.out_of_order_arrivals += 1;
-                        continue;
-                    }
-                }
-                shard.upsert(o, IndexEntry { site, time: t, prev: prev.map(|p| p.link()) });
-                let new_link = Link { site, time: t };
-                if let Some(p) = prev {
-                    m2.entry(p.site).or_default().push((o, p.time, new_link));
-                }
-                m3.push((o, t, prev.map(|p| p.link())));
-            }
-        }
-        self.hosted.insert(prefix);
-        // `m3` holds exactly the accepted upserts: each changed the
-        // stored latest link for its object.
-        if self.config.locate_cache.is_some() {
-            for &(o, _, _) in &m3 {
-                self.epochs.bump(o);
-            }
-        }
-
-        for (dest, updates) in m2 {
-            let msg = Msg::SetTo { updates };
-            self.dispatch(sim, gw, self.site_idx(dest), 1, msg);
-        }
-        if !m3.is_empty() {
-            let msg = Msg::SetFrom { updates: m3 };
-            self.dispatch(sim, gw, self.site_idx(site), 1, msg);
-        }
-
-        self.maybe_delegate(sim, gw, prefix);
-        // One shard replication covers both the index upserts above and
-        // any shrink `maybe_delegate` just performed (the delegation
-        // receivers replicate their own shards on receipt).
-        self.replicate_shard(sim, gw, Some(prefix));
-    }
-
-    /// Install one handed-off index entry (shard migration or triangle
-    /// delegation), merging with any entry a concurrent index update
-    /// created at this gateway while the handoff was in flight — a
-    /// handoff can be arbitrarily delayed by loss and retransmission.
-    /// The two racing visits are re-threaded into one IOP chain where
-    /// possible (late M2/M3 repairs); a conflict that cannot be
-    /// reconciled locally is counted as an out-of-order arrival so
-    /// exactness-sensitive consumers can back off.
-    fn merge_entry(
-        &mut self,
-        sim: &mut Sim<Wire>,
-        gw: usize,
-        p: Prefix,
-        o: ObjectId,
-        e: IndexEntry,
-    ) {
-        let Some(ex) = self.sites[gw].gateway.shard_mut(p).get(&o).copied() else {
-            self.sites[gw].gateway.shard_mut(p).upsert(o, e);
-            return;
-        };
-        if ex.time == e.time {
-            // The same visit arrived twice (e.g. a duplicated handoff);
-            // keep the richer threading.
-            if ex.prev.is_none() && e.prev.is_some() {
-                self.sites[gw].gateway.shard_mut(p).upsert(o, e);
-            }
-            return;
-        }
-        let handoff_is_newer = ex.time < e.time;
-        let (older, newer) = if handoff_is_newer { (ex, e) } else { (e, ex) };
-        // When the handoff carries the newer visit, the stored latest
-        // link changes content below — cached answers die with it. (The
-        // reverse direction only enriches threading; the answer stands.)
-        if handoff_is_newer {
-            self.bump_epoch(o);
-        }
-        if newer.prev == Some(older.link()) {
-            // Already threaded past the older visit — nothing to repair.
-            if handoff_is_newer {
-                self.sites[gw].gateway.shard_mut(p).upsert(o, newer);
-            }
-        } else if newer.prev.is_none() {
-            // Thread the older visit in as the newer one's predecessor
-            // and repair the repositories' links (late M2/M3).
-            let merged = IndexEntry { prev: Some(older.link()), ..newer };
-            self.sites[gw].gateway.shard_mut(p).upsert(o, merged);
-            let m2 = Msg::SetTo { updates: vec![(o, older.time, newer.link())] };
-            self.dispatch(sim, gw, self.site_idx(older.site), 1, m2);
-            let m3 = Msg::SetFrom { updates: vec![(o, newer.time, Some(older.link()))] };
-            self.dispatch(sim, gw, self.site_idx(newer.site), 1, m3);
-        } else {
-            // The newer visit already has a different predecessor: the
-            // older one belongs somewhere mid-chain. Keep the newer
-            // entry and record the reordering.
-            if handoff_is_newer {
-                self.sites[gw].gateway.shard_mut(p).upsert(o, newer);
-            }
-            self.anomalies.out_of_order_arrivals += 1;
-        }
-    }
-
-    /// Fig. 5 `refresh_from_ascent`: walk shorter prefixes (nearest
-    /// ancestor first, down to `Lmin`), fetching — *moving* — any index
-    /// entries for the missing objects into the local shard.
-    fn refresh_from_ascent(
-        &mut self,
-        sim: &mut Sim<Wire>,
-        gw: usize,
-        prefix: Prefix,
-        missing: &mut HashSet<ObjectId>,
-    ) {
-        let Some(g) = self.group_config() else { return };
-        let mut l = prefix.len();
-        while l > g.l_min && !missing.is_empty() {
-            l -= 1;
-            let p = prefix.truncate(l);
-            self.fetch_remote(sim, gw, p, prefix, missing);
-        }
-    }
-
-    /// Fig. 5 `refresh_from_descent`: recurse into hosted child prefixes
-    /// fetching entries for the missing objects.
-    fn refresh_from_descent(
-        &mut self,
-        sim: &mut Sim<Wire>,
-        gw: usize,
-        prefix: Prefix,
-        missing: &mut HashSet<ObjectId>,
-    ) {
-        self.descend(sim, gw, prefix, prefix, missing);
+        self.descend(sim, gw, prefix, prefix, &mut missing);
     }
 
     fn descend(
@@ -997,43 +741,9 @@ impl NetWorld {
             }
             // The source shard shrank (possibly to nothing); ship the
             // new content to its replica set. The destination shard is
-            // replicated once by `handle_group_index` after all
-            // refresh fetches land.
+            // replicated once by the site's `GroupIndex` transition
+            // after all refresh fetches land.
             self.replicate_shard(sim, owner, Some(p));
-        }
-    }
-
-    /// Fig. 5 `update_index` lines 2–4: delegate the earliest `α·count`
-    /// records to the two triangle children when the shard exceeds the
-    /// configured threshold.
-    fn maybe_delegate(&mut self, sim: &mut Sim<Wire>, gw: usize, prefix: Prefix) {
-        let Some(g) = self.group_config() else { return };
-        let Some(threshold) = g.delegate_threshold else { return };
-        if prefix.len() >= ids::prefix::MAX_PREFIX_BITS {
-            return;
-        }
-        let len = self.sites[gw].gateway.shard_mut(prefix).len();
-        if len <= threshold {
-            return;
-        }
-        let k = ((g.alpha * len as f64).ceil() as usize).min(len);
-        let victims = self.sites[gw].gateway.shard_mut(prefix).take_earliest(k);
-        self.sites[gw].gateway.shard_mut(prefix).delegated = true;
-
-        let bit = prefix.len();
-        let mut split: [Vec<(ObjectId, IndexEntry)>; 2] = [Vec::new(), Vec::new()];
-        for (o, e) in victims {
-            split[o.id().bit(bit) as usize].push((o, e));
-        }
-        for (oneness, entries) in split.into_iter().enumerate() {
-            if entries.is_empty() {
-                continue;
-            }
-            let child = prefix.child(oneness == 1);
-            self.hosted.insert(child);
-            let (owner, hops) = self.route_traced(sim, self.sites[gw].site, child.gateway_id());
-            let msg = Msg::Delegate { prefix: child, entries };
-            self.dispatch(sim, gw, owner, hops, msg);
         }
     }
 
@@ -1053,15 +763,13 @@ impl NetWorld {
             return target;
         }
         while self.current_lp < target {
-            let l = self.current_lp;
-            self.split_level(sim, l);
+            self.migrate_level(sim, self.current_lp, true);
             self.current_lp += 1;
         }
         while self.current_lp > target {
-            let l = self.current_lp;
             // Children of the old triangles sit one level below the old
             // parents; they migrate up into the (new child) level first.
-            self.merge_level(sim, l + 1);
+            self.migrate_level(sim, self.current_lp + 1, false);
             self.current_lp -= 1;
         }
         target
@@ -1097,10 +805,13 @@ impl NetWorld {
         }
     }
 
-    /// Push every shard of length `l` down into its two children
-    /// ("the data stored in the old parent will all be delegated into
-    /// the two new parent nodes which are its child nodes").
-    fn split_level(&mut self, sim: &mut Sim<Wire>, l: usize) {
+    /// Drain every shard of length `l` and migrate its entries one level
+    /// down into its two children when `split` ("the data stored in the
+    /// old parent will all be delegated into the two new parent nodes
+    /// which are its child nodes"), else one level up into its parent
+    /// ("the parent node's two child nodes migrate the data they are
+    /// indexing to the parent node").
+    fn migrate_level(&mut self, sim: &mut Sim<Wire>, l: usize, split: bool) {
         // Sorted: the shard map iterates in hash order, and dispatch
         // order feeds the latency/fault RNGs — runs must not depend on
         // the process's hasher seed.
@@ -1120,75 +831,23 @@ impl NetWorld {
             .collect();
         shards.sort();
         for (idx, p) in shards {
-            let entries = match self.sites[idx].gateway.prefixes.get_mut(&p) {
-                Some(s) => s.drain_all(),
-                None => continue,
-            };
-            self.sites[idx].gateway.prefixes.remove(&p);
+            let Some(mut shard) = self.sites[idx].gateway.prefixes.remove(&p) else { continue };
+            let entries = shard.drain_all();
             self.hosted.remove(&p);
             self.replicate_shard(sim, idx, Some(p)); // now empty: replicas drop it
             if entries.is_empty() {
                 continue;
             }
-            let mut split: [Vec<(ObjectId, IndexEntry)>; 2] = [Vec::new(), Vec::new()];
-            for (o, e) in entries {
-                split[o.id().bit(l) as usize].push((o, e));
-            }
-            for (oneness, part) in split.into_iter().enumerate() {
-                if part.is_empty() {
-                    continue;
-                }
-                let child = p.child(oneness == 1);
-                self.hosted.insert(child);
-                let (owner, hops) =
-                    self.route_traced(sim, self.sites[idx].site, child.gateway_id());
-                let msg = Msg::Migrate { prefix: Some(child), entries: part };
+            let parts = match split {
+                true => site::split_to_children(p, entries),
+                false => vec![(p.parent().expect("shards below Lmin have a parent"), entries)],
+            };
+            for (dest, part) in parts {
+                self.hosted.insert(dest);
+                let (owner, hops) = self.route_traced(sim, self.sites[idx].site, dest.gateway_id());
+                let msg = Msg::Migrate { prefix: Some(dest), entries: part };
                 self.dispatch(sim, idx, owner, hops, msg);
             }
-        }
-    }
-
-    /// Merge every shard of length `l` up into its parent ("the parent
-    /// node's two child nodes migrate the data they are indexing to the
-    /// parent node").
-    fn merge_level(&mut self, sim: &mut Sim<Wire>, l: usize) {
-        if l == 0 {
-            return;
-        }
-        // Sorted for hasher-independent dispatch order, as in
-        // `split_level`.
-        let mut shards: Vec<(usize, Prefix)> = self
-            .sites
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.alive)
-            .flat_map(|(i, s)| {
-                s.gateway
-                    .prefixes
-                    .keys()
-                    .filter(|p| p.len() == l)
-                    .map(move |p| (i, *p))
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        shards.sort();
-        for (idx, p) in shards {
-            let entries = match self.sites[idx].gateway.prefixes.get_mut(&p) {
-                Some(s) => s.drain_all(),
-                None => continue,
-            };
-            self.sites[idx].gateway.prefixes.remove(&p);
-            self.hosted.remove(&p);
-            self.replicate_shard(sim, idx, Some(p)); // now empty: replicas drop it
-            if entries.is_empty() {
-                continue;
-            }
-            let parent = p.parent().expect("l > 0");
-            self.hosted.insert(parent);
-            let (owner, hops) =
-                self.route_traced(sim, self.sites[idx].site, parent.gateway_id());
-            let msg = Msg::Migrate { prefix: Some(parent), entries };
-            self.dispatch(sim, idx, owner, hops, msg);
         }
     }
 
@@ -1303,19 +962,14 @@ impl NetWorld {
         total
     }
 
-    /// Borrow a shard for inspection (tests, queries).
-    pub fn shard(&self, site: SiteId, p: &Prefix) -> Option<&PrefixIndex> {
-        self.sites[self.site_idx(site)].gateway.prefixes.get(p)
-    }
-
     // ------------------------------------------------------------------
     // K-successor replication
     // ------------------------------------------------------------------
     //
     // With `Config.replication.replicas = K > 1`, every site's stores
     // (IOP repository + gateway shards) are mirrored onto its K−1 ring
-    // successors. Writes fan out eagerly (`replicate_iop` /
-    // `replicate_shard`), a one-shot anti-entropy timer follows each
+    // successors. Writes fan out eagerly (the sites' `Replicate`
+    // effects), a one-shot anti-entropy timer follows each
     // write burst with a digest exchange over the canonical state
     // encoding, reads fall back to replica copies when the primary is
     // gone, and a permanent failure promotes the first successor. Every
@@ -1331,41 +985,8 @@ impl NetWorld {
     /// successors), in ring order. Empty when replication is off.
     fn replica_peer_idxs(&self, idx: usize) -> Vec<usize> {
         let k = self.config.replication.replicas;
-        if k <= 1 {
-            return Vec::new();
-        }
-        // `successors_of` of a member id starts with the member itself.
-        self.ring
-            .successors_of(&self.sites[idx].chord_id, k)
-            .into_iter()
-            .skip(1)
-            .filter_map(|id| self.ring.app_index_of(&id))
-            .filter(|&h| h != idx)
-            .collect()
-    }
-
-    /// Canonical byte encoding of a site's primary stores (IOP then
-    /// gateway) — the unit both digests and full-state sync hash and
-    /// ship. Same sorted-key encoders the daemon's snapshots use, so
-    /// semantically equal stores encode byte-identically.
-    fn store_state_bytes(&self, idx: usize) -> Vec<u8> {
-        let mut buf = ByteBuf::new();
-        codec::put_state_iop(&mut buf, &self.sites[idx].iop);
-        codec::put_state_gateway(&mut buf, &self.sites[idx].gateway);
-        buf.freeze().as_slice().to_vec()
-    }
-
-    /// Canonical encoding of `holder`'s replica copy of `primary`'s
-    /// stores (empty stores when the holder has no copy yet).
-    fn replica_state_bytes(&self, holder: usize, primary: SiteId) -> Vec<u8> {
-        let empty_iop = IopStore::new();
-        let empty_gw = GatewayStore::new();
-        let iop = self.sites[holder].replica_iop.get(&primary).unwrap_or(&empty_iop);
-        let gw = self.sites[holder].replica_gateway.get(&primary).unwrap_or(&empty_gw);
-        let mut buf = ByteBuf::new();
-        codec::put_state_iop(&mut buf, iop);
-        codec::put_state_gateway(&mut buf, gw);
-        buf.freeze().as_slice().to_vec()
+        let holders = site::replica_holders(&self.ring, &self.sites[idx].chord_id, k);
+        holders.into_iter().map(|s| self.site_idx(s)).collect()
     }
 
     /// Arm the one-shot anti-entropy timer for `idx` unless one is
@@ -1379,59 +1000,10 @@ impl NetWorld {
         self.sites[idx].antientropy_timer = Some(t);
     }
 
-    /// Fan one or more IOP record updates out to `idx`'s replica set.
-    /// `keys` are `(object, arrival time)` record keys; the full
-    /// records are read back from the primary store so replicas always
-    /// receive the post-update state.
-    fn replicate_iop(&mut self, sim: &mut Sim<Wire>, idx: usize, keys: &[(ObjectId, SimTime)]) {
-        if !self.replication_on() || keys.is_empty() {
-            return;
-        }
-        let updates: Vec<(ObjectId, IopRecord)> = keys
-            .iter()
-            .filter_map(|&(o, t)| self.sites[idx].iop.record_at(o, t).map(|r| (o, *r)))
-            .collect();
-        if updates.is_empty() {
-            return;
-        }
-        let primary = self.sites[idx].site;
-        for h in self.replica_peer_idxs(idx) {
-            let msg = Msg::ReplIop { primary, updates: updates.clone() };
-            self.dispatch(sim, idx, h, 1, msg);
-        }
-        self.arm_antientropy(sim, idx);
-    }
-
-    /// Ship the full current content of one of `idx`'s gateway shards
-    /// (`None` = the individual-mode object map) to its replica set.
-    /// Full-shard replace semantics let removals propagate without
-    /// tombstones: an empty shard drops the replica copy.
+    /// Replicate one of `idx`'s gateway shards (`None` = the
+    /// individual-mode object map) after a driver-side change to it.
     fn replicate_shard(&mut self, sim: &mut Sim<Wire>, idx: usize, prefix: Option<Prefix>) {
-        if !self.replication_on() {
-            return;
-        }
-        let (mut entries, delegated): (Vec<(ObjectId, IndexEntry)>, bool) = match prefix {
-            Some(p) => match self.sites[idx].gateway.prefixes.get(&p) {
-                Some(shard) => (
-                    shard.entries.iter().map(|(o, e)| (*o, *e)).collect(),
-                    shard.delegated,
-                ),
-                None => (Vec::new(), false),
-            },
-            None => (
-                self.sites[idx].gateway.objects.iter().map(|(o, e)| (*o, *e)).collect(),
-                false,
-            ),
-        };
-        // Sorted: message contents feed the canonical encoding at the
-        // replica and must be hasher-independent.
-        entries.sort_by_key(|(o, _)| *o);
-        let primary = self.sites[idx].site;
-        for h in self.replica_peer_idxs(idx) {
-            let msg = Msg::ReplShard { primary, prefix, entries: entries.clone(), delegated };
-            self.dispatch(sim, idx, h, 1, msg);
-        }
-        self.arm_antientropy(sim, idx);
+        self.step(sim, idx, |s, rules, out| s.replicate_shard(prefix, rules, out));
     }
 
     /// Redirect an M2/M3 IOP update whose destination is permanently
@@ -1448,43 +1020,22 @@ impl NetWorld {
             self.anomalies.dropped_to_dead += 1;
             return;
         }
-        let (set_to, set_from) = match msg {
-            Msg::SetTo { updates } => (updates, Vec::new()),
-            Msg::SetFrom { updates } => (Vec::new(), updates),
-            other => unreachable!("only IOP updates are redirected, got {other:?}"),
-        };
+        let patch = site::patch_for_replicas(primary, msg);
         for h in holders {
-            let patch = Msg::ReplIopPatch {
-                primary,
-                set_to: set_to.clone(),
-                set_from: set_from.clone(),
-            };
-            self.dispatch(sim, from, h, 1, patch);
+            self.dispatch(sim, from, h, 1, patch.clone());
         }
     }
 
     /// Read a visit record, falling back to replica copies when the
-    /// primary site is gone. With `replicas = 1` this is exactly the
-    /// primary-only read the seed performed.
+    /// primary site is gone — the query path's uncharged read.
     pub fn iop_record(
         &self,
         site: SiteId,
         object: ObjectId,
         arrived: SimTime,
     ) -> Option<IopRecord> {
-        let s = &self.sites[self.site_idx(site)];
-        if s.alive {
-            return s.iop.record_at(object, arrived).copied();
-        }
-        if !self.replication_on() {
-            return None;
-        }
-        self.sites
-            .iter()
-            .filter(|h| h.alive)
-            .filter_map(|h| h.replica_iop.get(&site))
-            .find_map(|st| st.record_at(object, arrived))
-            .copied()
+        let (mut at, link) = (site, Link { site, time: arrived });
+        query::fetch_record(&mut &*self, &mut at, link, object, &mut QueryCost::default())
     }
 
     /// The live sites currently holding replica copies for `site`,
@@ -1517,13 +1068,13 @@ impl NetWorld {
             if !self.sites[idx].alive {
                 continue;
             }
-            let want = self.store_state_bytes(idx);
+            let want = self.sites[idx].state_bytes();
             let primary = self.sites[idx].site;
             for h in self.replica_peer_idxs(idx) {
                 if !self.sites[h].alive {
                     continue;
                 }
-                if self.replica_state_bytes(h, primary) != want {
+                if self.sites[h].replica_state_bytes(primary) != want {
                     out.push(format!(
                         "replica: holder {} diverges from primary {primary} after quiescence",
                         self.sites[h].site
@@ -1559,10 +1110,9 @@ impl NetWorld {
                 self.sites[h].replica_iop.remove(&primary);
                 self.sites[h].replica_gateway.remove(&primary);
             }
-            let state = self.store_state_bytes(idx);
+            let msg = self.sites[idx].state_msg();
             for &h in &holder_idxs {
-                let msg = Msg::ReplState { primary, state: state.clone() };
-                self.dispatch(sim, idx, h, 1, msg);
+                self.dispatch(sim, idx, h, 1, msg.clone());
             }
         }
     }
@@ -1575,7 +1125,7 @@ impl NetWorld {
     /// they are (repository records are keyed by the site that observed
     /// them; reads reach them via [`NetWorld::iop_record`] fallback).
     /// Call after `ring.fail` + stabilization.
-    pub(crate) fn promote_dead_primary(&mut self, dead_idx: usize) {
+    pub(crate) fn promote_dead_primary(&mut self, sim: &mut Sim<Wire>, dead_idx: usize) {
         if !self.replication_on() {
             return;
         }
@@ -1588,34 +1138,7 @@ impl NetWorld {
             return;
         };
         if let Some(gw) = self.sites[heir].replica_gateway.remove(&dead) {
-            let mut objs: Vec<(ObjectId, IndexEntry)> = gw.objects.into_iter().collect();
-            objs.sort_by_key(|(o, _)| *o);
-            for (o, e) in objs {
-                match self.sites[heir].gateway.objects.get(&o) {
-                    // A racing index update at the heir already holds a
-                    // newer visit — keep it.
-                    Some(ex) if ex.time >= e.time => {}
-                    _ => {
-                        self.sites[heir].gateway.objects.insert(o, e);
-                    }
-                }
-            }
-            let mut prefixes: Vec<(Prefix, PrefixIndex)> = gw.prefixes.into_iter().collect();
-            prefixes.sort_by_key(|(p, _)| *p);
-            for (p, shard) in prefixes {
-                let mut es: Vec<(ObjectId, IndexEntry)> =
-                    shard.entries.iter().map(|(o, e)| (*o, *e)).collect();
-                es.sort_by_key(|(o, _)| *o);
-                let dst = self.sites[heir].gateway.shard_mut(p);
-                dst.delegated |= shard.delegated;
-                for (o, e) in es {
-                    match dst.get(&o) {
-                        Some(ex) if ex.time >= e.time => {}
-                        _ => dst.upsert(o, e),
-                    }
-                }
-                self.hosted.insert(p);
-            }
+            self.step(sim, heir, |s, _, out| s.absorb_gateway(gw, out));
         }
         // The heir owns the ranges now; other holders' copies of the
         // dead gateway are stale bootstrap data, not serving state.
@@ -1640,10 +1163,8 @@ impl World<Wire> for NetWorld {
                 if !self.sites[idx].alive {
                     return;
                 }
-                self.sites[idx].window_timer = None;
-                if let Some(batch) = self.sites[idx].window.flush(sim.now()) {
-                    self.index_batch(sim, batch);
-                }
+                self.sites[idx].window_timer = None; // fired: nothing to cancel
+                self.flush_site_window(sim, idx);
             }
             TAG_CAPTURE => {
                 if let Some((site, objects)) = self.pending_captures.remove(&value) {
@@ -1662,10 +1183,9 @@ impl World<Wire> for NetWorld {
                 if !self.sites[idx].alive || !self.replication_on() {
                     return;
                 }
-                let digest = Id::hash(&self.store_state_bytes(idx));
-                let primary = self.sites[idx].site;
+                let digest = self.sites[idx].digest_msg();
                 for h in self.replica_peer_idxs(idx) {
-                    self.dispatch(sim, idx, h, 1, Msg::ReplDigest { primary, digest });
+                    self.dispatch(sim, idx, h, 1, digest.clone());
                 }
             }
             other => panic!("unknown timer tag {other}"),
