@@ -1,73 +1,55 @@
 //! One PeerTrack/Chord node served over real sockets.
 //!
 //! [`Node::spawn`] binds a listener and runs a single-threaded engine
-//! that owns this site's slice of the state the simulator's `NetWorld`
-//! keeps globally: the Chord routing replica, the capture window, the
-//! IOP repository and the gateway shards. The engine is a
-//! readiness-driven event loop over nonblocking sockets
-//! ([`transport::nio`], std-only): each poll wakeup drains whatever
-//! bytes the kernel has per connection, decodes as many whole frames
-//! as arrived (many requests in flight per connection), processes them
-//! strictly serially — every state transition as atomic as the
-//! simulator's event handlers — and then *commits the batch*: one WAL
-//! fsync covering every record the wakeup logged, after which (and
-//! never before) the batch's responses are released to their
-//! connections' write buffers. DESIGN.md §14 specifies the loop.
+//! for one site: its [`peertrack::site::Site`] protocol state, capture
+//! window and Chord routing replica. The engine is a readiness-driven
+//! event loop over nonblocking sockets ([`transport::nio`]): each
+//! wakeup decodes the frames that arrived, processes them strictly
+//! serially, then *commits the batch* — one WAL fsync for every record
+//! the wakeup logged, after which (never before) the responses are
+//! released. DESIGN.md §14 specifies the loop.
 //!
-//! **Core/engine split.** Since the durability work the node is two
-//! layers. [`Core`] is the deterministic state machine: it holds every
-//! replicated field and advances *only* through
-//! [`Core::apply_record`], whose input vocabulary
-//! ([`crate::state::WalRecord`]) is exactly what the write-ahead log
-//! stores. Outbound protocol messages leave the core through an
-//! `outbox` rather than a socket, so the same `apply` call serves both
-//! live execution (the engine drains the outbox onto TCP) and crash
-//! recovery (replay drops it — every peer already received those
-//! messages in the first life). [`Engine`] owns everything a replay
-//! must not touch: the listener, the connection cache, the wall-clock
-//! latency recorder and the [`durable::DataDir`]. Its single write
-//! path is `log_apply`: append to the WAL, then apply — state is never
-//! mutated by an event the log does not hold.
+//! **Core and engine.** [`Core`] is the deterministic state machine:
+//! every field that must survive a crash, advanced *only* by
+//! [`Core::apply_record`] over the [`WalRecord`] vocabulary the
+//! write-ahead log stores. Outbound messages leave through an outbox,
+//! so the same `apply` serves live execution (the engine writes the
+//! outbox to TCP) and recovery (replay drops it). [`Engine`] owns what
+//! a replay must not touch — listener, connections, wall-clock
+//! recorder, locate cache, [`durable::DataDir`] — and its one write
+//! path is `log_apply`: append to the WAL, then apply.
 //!
-//! **Accounting bridge.** The engine charges the *model* cost the
-//! simulator would charge — `Msg::wire_size()` bytes (not encoded frame
-//! length), overlay hops from the Chord lookup, one message per
-//! protocol send, queries bulk-charged at the origin — into its own
-//! [`simnet::metrics::Metrics`]. Self-sends are handled inline and
-//! uncharged, exactly like `NetWorld::dispatch`. Merging every node's
-//! metrics therefore reproduces the simulator's global tally for the
-//! same workload (asserted by `tests/tests/cluster_parity.rs`).
+//! **Protocol plane.** `Core` is the daemon's driver of the shared
+//! [`peertrack::site`] transitions, the ones the simulator's `NetWorld`
+//! drives per site (DESIGN.md §11). It keeps what differs off-sim:
+//! sends are sequenced onto the outbox, routing is a lookup on the
+//! local ring replica, refresh fetches and Data-Triangle delegation are
+//! never run — a situation that would need one counts `unsupported` —
+//! and anti-entropy follows each window flush.
 //!
-//! **Queries.** Locate and trace run [`peertrack::query`], the
-//! simulator's own algorithm, over this node's [`SiteReader`] reads:
-//! its own state for its own site, one RPC to the holding site
-//! otherwise; a lost RPC makes the answer incomplete. What stays here
-//! is driver-specific: the in-regime gateway probe, the revalidating
-//! locate cache and served-query attribution.
+//! **Accounting bridge.** `Core` charges the *model* cost the simulator
+//! would — `Msg::wire_size()` bytes, overlay hops from the Chord
+//! lookup, queries bulk-charged at the origin, self-sends uncharged —
+//! so merging every node's metrics reproduces the simulator's global
+//! tally (`tests/tests/cluster_parity.rs`).
 //!
-//! **Routing.** Query-driven lookups run the iterative protocol for
-//! real: the origin drives [`chord::LookupDriver`] and asks each hop
-//! over the network ([`Frame::LookupStep`]); every node answers from
-//! its own replica. Replicas are rebuilt deterministically from the
-//! sorted membership (bootstrap-lowest-site, ascending joins, full
-//! stabilization), so a converged cluster routes identically to the
-//! simulator's single ring — which is also why the *indexing* path
-//! (inside the core, where no sockets exist) may answer the same
-//! lookup from the local replica: on identical replicas the iterative
-//! walk and the local walk visit the same nodes and charge the same
-//! hops, a parity the cluster tests pin down.
+//! **Queries.** Locate and trace run [`peertrack::query`] over this
+//! node's [`SiteReader`] reads: its own state for its own site, one RPC
+//! to the holding site otherwise; a lost RPC makes the answer
+//! incomplete. Query-driven lookups run the iterative Chord protocol
+//! for real ([`Frame::LookupStep`] per hop, answered from each node's
+//! replica). Replicas are rebuilt deterministically from the sorted
+//! membership, so a converged cluster routes like the simulator's
+//! single ring — which is why the indexing path inside `Core`, where no
+//! sockets exist, may answer the same lookup from the local replica.
 //!
-//! **Deadlock-freedom.** While a query (locate/trace) waits for a peer
-//! RPC reply, the engine keeps pumping the event loop in *nested* mode:
-//! every read-only RPC (`LookupStep`, record reads, probes) and the
-//! whole asynchronous protocol plane are served immediately; only
-//! frames that would start another query (or stop the node) are
-//! deferred. Two nodes querying each other therefore both make
-//! progress — each answers the other's lookup steps from inside its own
-//! wait loop — and RPC recursion is bounded at depth 1 because a nested
-//! pump never starts a query. Per-connection response order is
-//! preserved by suspending the querying connection's inbox until its
-//! query completes.
+//! **Deadlock-freedom.** While a query waits for a peer RPC reply, the
+//! engine keeps pumping in *nested* mode: read-only RPCs and the whole
+//! protocol plane are served, only frames that would start another
+//! query (or stop the node) are deferred. Two nodes querying each other
+//! both progress, and RPC recursion is bounded at depth 1. The querying
+//! connection's inbox is suspended until its query completes, keeping
+//! per-connection response order.
 //!
 //! **Virtual time.** There are no `Tmax` timers off-sim: the driver
 //! carries explicit virtual instants ([`Frame::Capture`]`.at`) and
@@ -199,8 +181,10 @@ pub struct NodeReport {
     /// Protocol anomaly counters (all zero in a clean run).
     pub anomalies: Anomalies,
     /// Protocol situations the daemon does not implement (refresh
-    /// fetches, delegation, individual mode); zero within the supported
-    /// regime — the parity test asserts it.
+    /// fetches, delegation, individual mode), counted where they arise:
+    /// zero within the supported regime, which the parity test asserts;
+    /// a shard past `delegate_threshold` counts here while it keeps
+    /// indexing (DESIGN.md §11).
     pub unsupported: u64,
     /// Wall-clock delivery-latency histograms per message class, plus
     /// origin-side query latencies under [`MsgClass::Query`].
@@ -298,7 +282,7 @@ pub struct Core {
     pub(crate) metrics: Metrics,
     pub(crate) next_seq: u64,
     /// `(sender, seq)` pairs already processed (duplicate suppression,
-    /// mirroring the simulator's per-site `seen_seqs`).
+    /// as the simulator's per-site `seen_seqs`).
     pub(crate) seen: HashSet<(u32, u64)>,
     pub(crate) sent: u64,
     pub(crate) received: u64,
@@ -910,14 +894,19 @@ impl Engine {
         }
     }
 
-    /// The normalized region pair between this node and `to`, if (and
-    /// only if) that pair is currently severed.
-    fn severed_pair_of(&self, to: SiteId) -> Option<(u16, u16)> {
+    /// The normalized region pair between this node and `to` (`None`
+    /// on a flat cluster).
+    fn region_pair(&self, to: SiteId) -> Option<(u16, u16)> {
         let topo = self.geo.as_ref()?;
         let a = topo.region_of(self.core.site.0 as usize);
         let b = topo.region_of(to.0 as usize);
-        let pair = (a.min(b), a.max(b));
-        self.severed.contains(&pair).then_some(pair)
+        Some((a.min(b), a.max(b)))
+    }
+
+    /// The region pair between this node and `to`, if (and only if)
+    /// that pair is currently severed.
+    fn severed_pair_of(&self, to: SiteId) -> Option<(u16, u16)> {
+        self.region_pair(to).filter(|pair| self.severed.contains(pair))
     }
 
     /// Encode and socket-write one core-sequenced protocol message,
@@ -948,13 +937,7 @@ impl Engine {
         let pair = (a.min(b), a.max(b));
         let parked = std::mem::take(&mut self.parked_out);
         for out in parked {
-            let out_pair = {
-                let topo = self.geo.as_ref().expect("parked frames require a topology");
-                let ra = topo.region_of(self.core.site.0 as usize);
-                let rb = topo.region_of(out.to.0 as usize);
-                (ra.min(rb), ra.max(rb))
-            };
-            if out_pair == pair {
+            if self.region_pair(out.to) == Some(pair) {
                 self.core.sent += 1;
                 self.send_outbound(out);
             } else {

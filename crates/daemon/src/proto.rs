@@ -24,7 +24,8 @@ use chord::StepAnswer;
 use ids::{Id, ID_BYTES};
 use moods::{ObjectId, Path, SiteId, Visit};
 use peertrack::bytebuf::{ByteBuf, Bytes};
-use peertrack::codec;
+use peertrack::codec::{self, get_object, get_opt_link, get_time};
+use peertrack::codec::{put_object, put_opt_link, put_time};
 use peertrack::messages::Wire;
 use peertrack::query::QueryCost;
 use peertrack::store::{IopRecord, Link};
@@ -58,6 +59,17 @@ impl std::fmt::Display for ProtoError {
 }
 
 impl std::error::Error for ProtoError {}
+
+/// The shared `peertrack::codec` field decoders fail as a frame would.
+impl From<codec::DecodeError> for ProtoError {
+    fn from(e: codec::DecodeError) -> ProtoError {
+        match e {
+            codec::DecodeError::Truncated => ProtoError::Truncated,
+            codec::DecodeError::TooLong(n) => ProtoError::TooLong(n),
+            other => ProtoError::Codec(other),
+        }
+    }
+}
 
 /// Bound on decoded vector lengths (peer lists, capture batches,
 /// visits); mirrors [`codec::MAX_VECTOR_LEN`].
@@ -368,25 +380,6 @@ const K_QUERY_LOAD_RESP: u8 = 42;
 
 fn put_id(buf: &mut ByteBuf, id: &Id) {
     buf.put_slice(&id.0);
-}
-
-pub(crate) fn put_object(buf: &mut ByteBuf, o: &ObjectId) {
-    put_id(buf, &o.0);
-}
-
-pub(crate) fn put_time(buf: &mut ByteBuf, t: SimTime) {
-    buf.put_u64(t.as_micros());
-}
-
-fn put_opt_link(buf: &mut ByteBuf, l: &Option<Link>) {
-    match l {
-        Some(l) => {
-            buf.put_u8(1);
-            buf.put_u32(l.site.0);
-            put_time(buf, l.time);
-        }
-        None => buf.put_bytes(0, 13),
-    }
 }
 
 pub(crate) fn put_str(buf: &mut ByteBuf, s: &str) {
@@ -799,10 +792,6 @@ pub(crate) fn get_u64(buf: &mut Bytes) -> Result<u64, ProtoError> {
     Ok(buf.get_u64())
 }
 
-pub(crate) fn get_time(buf: &mut Bytes) -> Result<SimTime, ProtoError> {
-    Ok(SimTime::from_micros(get_u64(buf)?))
-}
-
 fn get_id(buf: &mut Bytes) -> Result<Id, ProtoError> {
     need(buf, ID_BYTES)?;
     let mut raw = [0u8; ID_BYTES];
@@ -810,30 +799,11 @@ fn get_id(buf: &mut Bytes) -> Result<Id, ProtoError> {
     Ok(Id(raw))
 }
 
-pub(crate) fn get_object(buf: &mut Bytes) -> Result<ObjectId, ProtoError> {
-    Ok(ObjectId(get_id(buf)?))
-}
-
-fn get_opt_link(buf: &mut Bytes) -> Result<Option<Link>, ProtoError> {
-    need(buf, 13)?;
-    let present = buf.get_u8() == 1;
-    let site = SiteId(buf.get_u32());
-    let time = SimTime::from_micros(buf.get_u64());
-    Ok(present.then_some(Link { site, time }))
-}
-
-/// Bounded length prefix: mirrors the codec hardening — a hostile
+/// Bounded length prefix, hardened as `peertrack::codec`'s: a hostile
 /// prefix is rejected by arithmetic (`n · elem_bytes > remaining`)
 /// before it can size an allocation.
 pub(crate) fn get_len(buf: &mut Bytes, elem_bytes: usize) -> Result<usize, ProtoError> {
-    let n = get_u32(buf)?;
-    if n as usize > MAX_LEN {
-        return Err(ProtoError::TooLong(n));
-    }
-    if (n as usize) * elem_bytes > buf.remaining() {
-        return Err(ProtoError::Truncated);
-    }
-    Ok(n as usize)
+    Ok(codec::get_len(buf, elem_bytes)?)
 }
 
 pub(crate) fn get_str(buf: &mut Bytes) -> Result<String, ProtoError> {

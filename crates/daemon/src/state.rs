@@ -115,15 +115,15 @@ impl WalRecord {
             }
             WalRecord::Capture { at, objects } => {
                 buf.put_u8(R_CAPTURE);
-                proto::put_time(&mut buf, *at);
+                codec::put_time(&mut buf, *at);
                 buf.put_u32(objects.len() as u32);
                 for o in objects {
-                    proto::put_object(&mut buf, o);
+                    codec::put_object(&mut buf, o);
                 }
             }
             WalRecord::Flush { now } => {
                 buf.put_u8(R_FLUSH);
-                proto::put_time(&mut buf, *now);
+                codec::put_time(&mut buf, *now);
             }
             WalRecord::Protocol { sender, wire } => {
                 buf.put_u8(R_PROTOCOL);
@@ -155,15 +155,15 @@ impl WalRecord {
                 addr: proto::get_str(&mut buf)?,
             },
             R_CAPTURE => {
-                let at = proto::get_time(&mut buf)?;
+                let at = codec::get_time(&mut buf)?;
                 let n = proto::get_len(&mut buf, ids::ID_BYTES)?;
                 let mut objects = Vec::with_capacity(n);
                 for _ in 0..n {
-                    objects.push(proto::get_object(&mut buf)?);
+                    objects.push(codec::get_object(&mut buf)?);
                 }
                 WalRecord::Capture { at, objects }
             }
-            R_FLUSH => WalRecord::Flush { now: proto::get_time(&mut buf)? },
+            R_FLUSH => WalRecord::Flush { now: codec::get_time(&mut buf)? },
             R_PROTOCOL => {
                 let sender = SiteId(proto::get_u32(&mut buf)?);
                 let n = proto::get_len(&mut buf, 1)?;

@@ -87,11 +87,13 @@ fn put_header(buf: &mut ByteBuf, tag: u8, seq: u64) {
     buf.put_u64(seq);
 }
 
-fn put_object(buf: &mut ByteBuf, o: &ObjectId) {
+/// Append an object id (20 bytes).
+pub fn put_object(buf: &mut ByteBuf, o: &ObjectId) {
     buf.put_slice(&o.0 .0);
 }
 
-fn put_time(buf: &mut ByteBuf, t: SimTime) {
+/// Append a timestamp (µs, `u64`).
+pub fn put_time(buf: &mut ByteBuf, t: SimTime) {
     buf.put_u64(t.as_micros());
 }
 
@@ -104,7 +106,8 @@ fn put_link(buf: &mut ByteBuf, l: &Link) {
     put_time(buf, l.time);
 }
 
-fn put_opt_link(buf: &mut ByteBuf, l: &Option<Link>) {
+/// Append an optional link: a presence byte over a fixed 12-byte body.
+pub fn put_opt_link(buf: &mut ByteBuf, l: &Option<Link>) {
     match l {
         Some(l) => {
             buf.put_u8(1);
@@ -263,14 +266,16 @@ fn need(buf: &Bytes, n: usize) -> Result<(), DecodeError> {
     }
 }
 
-fn get_object(buf: &mut Bytes) -> Result<ObjectId, DecodeError> {
+/// Read an object id written by [`put_object`].
+pub fn get_object(buf: &mut Bytes) -> Result<ObjectId, DecodeError> {
     need(buf, 20)?;
     let mut raw = [0u8; 20];
     buf.copy_to_slice(&mut raw);
     Ok(ObjectId(ids::Id(raw)))
 }
 
-fn get_time(buf: &mut Bytes) -> Result<SimTime, DecodeError> {
+/// Read a timestamp written by [`put_time`].
+pub fn get_time(buf: &mut Bytes) -> Result<SimTime, DecodeError> {
     need(buf, 8)?;
     Ok(SimTime::from_micros(buf.get_u64()))
 }
@@ -284,7 +289,8 @@ fn get_link(buf: &mut Bytes) -> Result<Link, DecodeError> {
     Ok(Link { site: get_site(buf)?, time: get_time(buf)? })
 }
 
-fn get_opt_link(buf: &mut Bytes) -> Result<Option<Link>, DecodeError> {
+/// Read an optional link written by [`put_opt_link`].
+pub fn get_opt_link(buf: &mut Bytes) -> Result<Option<Link>, DecodeError> {
     need(buf, 13)?;
     let present = buf.get_u8() == 1;
     let link = get_link(buf)?;
@@ -317,7 +323,7 @@ fn get_opt_prefix(buf: &mut Bytes) -> Result<Option<Prefix>, DecodeError> {
 /// occupies at least `elem_bytes`), so the subsequent `Vec::with_capacity`
 /// is sized from *verified* input. The order matters: an absurd claim is
 /// `TooLong` even when the buffer is also short.
-fn get_len(buf: &mut Bytes, elem_bytes: usize) -> Result<usize, DecodeError> {
+pub fn get_len(buf: &mut Bytes, elem_bytes: usize) -> Result<usize, DecodeError> {
     need(buf, 4)?;
     let n = buf.get_u32();
     if n as usize > MAX_VECTOR_LEN {

@@ -555,12 +555,7 @@ impl TraceableNetwork {
             .ring
             .join(bootstrap, chord_id, idx)
             .expect("join routing failed");
-        self.sim.metrics_mut().record_bulk(
-            MsgClass::Overlay,
-            outcome.messages,
-            outcome.messages * 32,
-            outcome.messages,
-        );
+        self.charge_overlay(outcome.messages);
         let site = self.world.push_site(chord_id, n_max);
 
         if let Some(m) = outcome.migration {
@@ -609,12 +604,7 @@ impl TraceableNetwork {
 
         let chord_id = self.world.sites[idx].chord_id;
         let outcome = self.world.ring.leave(chord_id);
-        self.sim.metrics_mut().record_bulk(
-            MsgClass::Overlay,
-            outcome.messages,
-            outcome.messages * 32,
-            outcome.messages,
-        );
+        self.charge_overlay(outcome.messages);
         let succ_idx = self
             .world
             .ring
@@ -659,24 +649,7 @@ impl TraceableNetwork {
         assert!(self.world.live_sites() > 1, "last site cannot crash");
         assert!(self.sim.has_faults(), "crash_site requires Builder::faults");
 
-        let chord_id = self.world.sites[idx].chord_id;
-        self.world.sites[idx].alive = false;
-        self.sim.crash_node(idx);
-        self.world.ring.fail(chord_id);
-
-        // Crash-aware repair: incremental rounds, convergence asserted
-        // within one finger-cursor rotation (see chord::Ring docs).
-        let messages = self
-            .world
-            .ring
-            .stabilize_until_converged(ids::ID_BITS + 1)
-            .expect("post-crash stabilization must converge");
-        self.sim.metrics_mut().record_bulk(
-            MsgClass::Overlay,
-            messages,
-            messages * 32,
-            messages,
-        );
+        self.fail_site(idx);
         self.world.refresh_lp(&mut self.sim);
         self.world.invalidate_gateway_caches();
         // Drain survivors' in-flight traffic (deliveries to the crashed
@@ -718,21 +691,7 @@ impl TraceableNetwork {
         self.world.flush_site_window(&mut self.sim, idx);
         self.run_until_quiescent();
 
-        let chord_id = self.world.sites[idx].chord_id;
-        self.world.sites[idx].alive = false;
-        self.sim.crash_node(idx);
-        self.world.ring.fail(chord_id);
-        let messages = self
-            .world
-            .ring
-            .stabilize_until_converged(ids::ID_BITS + 1)
-            .expect("post-kill stabilization must converge");
-        self.sim.metrics_mut().record_bulk(
-            MsgClass::Overlay,
-            messages,
-            messages * 32,
-            messages,
-        );
+        self.fail_site(idx);
         // Failover before the Lp refresh: the heir must serve the dead
         // site's ranges as primary data when split/merge re-levels.
         self.world.promote_dead_primary(&mut self.sim, idx);
@@ -743,6 +702,28 @@ impl TraceableNetwork {
         // Close the replication hole: every live primary's state back
         // onto exactly its K−1 current successors.
         self.replica_settle();
+    }
+
+    /// Take site `idx` down without a handoff (crash or permanent
+    /// failure) and repair the overlay by crash-aware incremental
+    /// stabilization, convergence asserted within one finger-cursor
+    /// rotation (see `chord::Ring`).
+    fn fail_site(&mut self, idx: usize) {
+        let chord_id = self.world.sites[idx].chord_id;
+        self.world.sites[idx].alive = false;
+        self.sim.crash_node(idx);
+        self.world.ring.fail(chord_id);
+        let messages = self
+            .world
+            .ring
+            .stabilize_until_converged(ids::ID_BITS + 1)
+            .expect("post-failure stabilization must converge");
+        self.charge_overlay(messages);
+    }
+
+    /// Charge Chord maintenance traffic (join, leave, repair rounds).
+    fn charge_overlay(&mut self, messages: u64) {
+        self.sim.metrics_mut().record_bulk(MsgClass::Overlay, messages, messages * 32, messages);
     }
 
     /// Re-establish the K-successor placement invariant after a

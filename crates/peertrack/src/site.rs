@@ -105,7 +105,7 @@ pub enum Effect {
 }
 
 /// Driver-chosen protocol switches for one transition.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug)]
 pub struct Rules {
     /// K-successor replication is on: writes emit [`Effect::Replicate`].
     pub replicated: bool,

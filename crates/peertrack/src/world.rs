@@ -370,7 +370,7 @@ impl NetWorld {
     fn index_batch(&mut self, sim: &mut Sim<Wire>, batch: WindowBatch) {
         let site = batch.site;
         let idx = self.site_idx(site);
-        let caching = self.config_caches_addresses();
+        let caching = self.group_config().is_some_and(|g| g.cache_gateway_addresses);
         for group in group_batch(&batch.observations, self.current_lp) {
             let (owner, hops) = match self.sites[idx].gateway_cache.get(&group.prefix) {
                 Some(&owner) if caching => (owner, 1),
@@ -386,10 +386,6 @@ impl NetWorld {
             let msg = Msg::GroupIndex { prefix: group.prefix, site, members: group.members };
             self.dispatch(sim, idx, owner, hops, msg);
         }
-    }
-
-    fn config_caches_addresses(&self) -> bool {
-        self.group_config().map(|g| g.cache_gateway_addresses).unwrap_or(false)
     }
 
     /// Drop every site's gateway-address cache (membership or `Lp`
