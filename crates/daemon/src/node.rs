@@ -528,7 +528,7 @@ impl Core {
             return;
         };
         let owner = self.site_of_chord(&r.owner);
-        self.dispatch(owner, r.hops as u32, msg);
+        self.dispatch(owner, r.hops, msg);
     }
 
     /// The Fig. 5 refresh walk and the §IV-A.3 gateway search around
@@ -541,11 +541,7 @@ impl Core {
     /// hosted prefix needs an entry-moving fetch or a routed lookup the
     /// daemon does not implement: it is counted as unsupported instead,
     /// so parity tests fail loudly rather than drift.
-    pub(crate) fn count_hosted_neighbours(
-        &mut self,
-        p: Prefix,
-        relevant: impl Fn(Prefix) -> bool,
-    ) {
+    pub(crate) fn count_hosted_neighbours(&mut self, p: Prefix, relevant: impl Fn(Prefix) -> bool) {
         for l in self.group.l_min..p.len() {
             if self.hosted.contains(&p.truncate(l)) {
                 self.unsupported += 1;
