@@ -71,10 +71,6 @@ impl From<codec::DecodeError> for ProtoError {
     }
 }
 
-/// Bound on decoded vector lengths (peer lists, capture batches,
-/// visits); mirrors [`codec::MAX_VECTOR_LEN`].
-pub const MAX_LEN: usize = codec::MAX_VECTOR_LEN;
-
 /// Query cost triple as carried in responses: the *model* accounting
 /// the origin charged, echoed so harnesses can cross-check it against
 /// the simulator without touching the node's metrics.
@@ -749,7 +745,8 @@ impl Frame {
                 }
             }
             K_STATE_RESP => {
-                // State dumps may exceed MAX_LEN elements; bound by the
+                // State dumps may exceed the vector bound of `get_len`
+                // (`codec::MAX_VECTOR_LEN` elements); bound by the
                 // frame itself (1 byte per element).
                 let n = get_u32(&mut buf)? as usize;
                 if n > buf.remaining() {
@@ -799,9 +796,10 @@ fn get_id(buf: &mut Bytes) -> Result<Id, ProtoError> {
     Ok(Id(raw))
 }
 
-/// Bounded length prefix, hardened as `peertrack::codec`'s: a hostile
-/// prefix is rejected by arithmetic (`n · elem_bytes > remaining`)
-/// before it can size an allocation.
+/// Bounded length prefix, hardened as `peertrack::codec`'s: at most
+/// [`codec::MAX_VECTOR_LEN`] elements, and a hostile prefix is rejected
+/// by arithmetic (`n · elem_bytes > remaining`) before it can size an
+/// allocation.
 pub(crate) fn get_len(buf: &mut Bytes, elem_bytes: usize) -> Result<usize, ProtoError> {
     Ok(codec::get_len(buf, elem_bytes)?)
 }
