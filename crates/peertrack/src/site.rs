@@ -167,13 +167,9 @@ impl Site {
     /// looks for before the batch is handled. (The paper's set
     /// expression has the operands transposed; its comment "objects
     /// which are not stored locally" fixes the intent.)
-    pub fn unindexed(
-        &mut self,
-        prefix: Prefix,
-        members: &[(ObjectId, SimTime)],
-    ) -> HashSet<ObjectId> {
-        let shard = self.gateway.shard_mut(prefix);
-        members.iter().map(|&(o, _)| o).filter(|o| shard.get(o).is_none()).collect()
+    pub fn unindexed(&self, prefix: Prefix, members: &[(ObjectId, SimTime)]) -> HashSet<ObjectId> {
+        let shard = self.gateway.prefixes.get(&prefix);
+        members.iter().map(|&(o, _)| o).filter(|o| shard.and_then(|s| s.get(o)).is_none()).collect()
     }
 
     /// Handle one protocol message from `from`. Acks belong to the
